@@ -9,6 +9,6 @@ out="${CARGO_TARGET_DIR:-.bench_build}"
 case "$out" in /*) ;; *) out="$root/$out" ;; esac
 mkdir -p "$out/gocache" "$out/gotmp" "$out/gopath"
 export GOCACHE="$out/gocache" GOTMPDIR="$out/gotmp" GOPATH="$out/gopath"
-export GOFLAGS=-mod=mod GOTOOLCHAIN=local GOWORK=off
+export GOTOOLCHAIN=local GOWORK=off
 (cd "$root/fedbench" && go build -o "$out/fedbench" .) >&2
 exec "$out/fedbench" --dir "$out" "$@"
