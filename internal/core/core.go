@@ -59,8 +59,15 @@ type Federation struct {
 	// coordinator restart re-arms it (0 = detector off).
 	detectInterval time.Duration
 
+	// The statistics cache. siteGen counts, per lower-cased site, the
+	// invalidations of that site's entries and wipes counts whole-cache
+	// invalidations: a stats RPC installs its answer only if neither
+	// moved while it was in flight, so an answer that may predate a
+	// write never outlives the invalidation.
 	statsMu sync.Mutex
 	stats   map[string]*storage.TableStats // "site/export" -> stats
+	siteGen map[string]uint64
+	wipes   uint64
 
 	// Strategy is the default optimizer for Query; QueryWith overrides.
 	Strategy Strategy
@@ -110,12 +117,13 @@ func New(name string) *Federation {
 		cat:      catalog.New(name),
 		conns:    make(map[string]gateway.Conn),
 		stats:    make(map[string]*storage.TableStats),
+		siteGen:  make(map[string]uint64),
 		Strategy: StrategyCostBased,
 	}
 	f.coord = gtm.New(connProvider{f})
 	// Cached stats are correctness-bearing (they drive source pruning),
-	// so writes the federation coordinates must drop the cache.
-	f.coord.OnCommit = f.InvalidateStats
+	// so a site the federation writes to must drop its entries.
+	f.coord.OnWrite = f.invalidateSite
 	return f
 }
 
@@ -211,7 +219,7 @@ func (f *Federation) RestartCoordinator(opts wal.Options) error {
 		return fmt.Errorf("core: restarting coordinator: %w", err)
 	}
 	c.OpTimeout = old.OpTimeout
-	c.OnCommit = f.InvalidateStats
+	c.OnWrite = f.invalidateSite
 	f.coordMu.Lock()
 	f.coord = c
 	interval := f.detectInterval
@@ -244,7 +252,8 @@ func (f *Federation) DetachSite(site string) {
 	f.mu.Unlock()
 }
 
-// RefreshSite re-imports a site's export schemas (after local DDL).
+// RefreshSite re-imports a site's export schemas (after local DDL) and
+// drops the site's cached statistics.
 func (f *Federation) RefreshSite(ctx context.Context, site string) error {
 	conn, ok := f.Conn(site)
 	if !ok {
@@ -255,7 +264,7 @@ func (f *Federation) RefreshSite(ctx context.Context, site string) error {
 		return err
 	}
 	f.cat.SetSiteExports(site, schemas)
-	f.InvalidateStats()
+	f.invalidateSite(site)
 	return nil
 }
 
@@ -288,13 +297,19 @@ func (f *Federation) DefineIntegrated(def *catalog.IntegratedDef) error {
 // Statistics (for the cost-based strategy)
 
 // Stats implements planner.StatsProvider with a demand-filled cache.
+// A site's answer covers both outcomes of every transaction open there,
+// so an entry stays valid across commits and aborts; only a write the
+// federation coordinates (gtm's OnWrite) or an explicit invalidation
+// drops it.
 func (f *Federation) Stats(ctx context.Context, site, export string) (*storage.TableStats, bool) {
-	key := strings.ToLower(site) + "/" + strings.ToLower(export)
+	ls := strings.ToLower(site)
+	key := ls + "/" + strings.ToLower(export)
 	f.statsMu.Lock()
 	if ts, ok := f.stats[key]; ok {
 		f.statsMu.Unlock()
 		return ts, true
 	}
+	gen, wipes := f.siteGen[ls], f.wipes
 	f.statsMu.Unlock()
 
 	conn, ok := f.Conn(site)
@@ -306,15 +321,36 @@ func (f *Federation) Stats(ctx context.Context, site, export string) (*storage.T
 		return nil, false
 	}
 	f.statsMu.Lock()
-	f.stats[key] = ts
+	if f.siteGen[ls] == gen && f.wipes == wipes {
+		f.stats[key] = ts
+	}
 	f.statsMu.Unlock()
 	return ts, true
 }
 
-// InvalidateStats empties the statistics cache (e.g. after bulk loads).
+// invalidateSite drops one site's cached statistics (gtm's OnWrite
+// hook: the federation just wrote to the site).
+func (f *Federation) invalidateSite(site string) {
+	ls := strings.ToLower(site)
+	prefix := ls + "/"
+	f.statsMu.Lock()
+	f.siteGen[ls]++
+	for key := range f.stats {
+		if strings.HasPrefix(key, prefix) {
+			delete(f.stats, key)
+		}
+	}
+	f.statsMu.Unlock()
+}
+
+// InvalidateStats empties the statistics cache. Writes the federation
+// coordinates invalidate on their own; call this after out-of-band
+// changes the federation cannot see — bulk loads or local writes made
+// directly at a component database.
 func (f *Federation) InvalidateStats() {
 	f.statsMu.Lock()
 	f.stats = make(map[string]*storage.TableStats)
+	f.wipes++
 	f.statsMu.Unlock()
 }
 
@@ -427,13 +463,15 @@ func (f *Federation) QueryStreamMetered(ctx context.Context, sql string, strateg
 }
 
 // QueryTx runs a global SELECT inside a global transaction, giving the
-// query serializable semantics via the sites' strict 2PL.
+// query serializable semantics via the sites' strict 2PL. It honours
+// the federation's executor options like every other query path.
 func (f *Federation) QueryTx(ctx context.Context, txn *gtm.Txn, sql string) (*schema.ResultSet, error) {
 	plan, err := f.plan(ctx, sql, f.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	return executor.Execute(ctx, plan, txn)
+	rs, _, err := executor.ExecuteMeteredOpts(ctx, plan, txn, f.execOpts())
+	return rs, err
 }
 
 // Explain plans the query and renders the plan, then asks each site's

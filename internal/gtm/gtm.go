@@ -128,14 +128,19 @@ type Coordinator struct {
 	// participant here).
 	TestHookBetweenPhases func()
 
-	// OnCommit, when set, runs after a global transaction commits (both
-	// one-phase and two-phase, including in-doubt transactions resolved
-	// to commit). The federation hooks it to invalidate its statistics
-	// cache: cached per-site stats steer bind-join choice and source
-	// pruning, so they must not survive writes the federation itself
-	// coordinated. Set it before the coordinator begins transactions;
-	// the callback must be safe to call from multiple goroutines.
-	OnCommit func()
+	// OnWrite, when set, names a site whose data a global transaction
+	// has just changed: it runs after every ExecSite that reached the
+	// site (a failed statement may still have applied part of its
+	// effect), and when recovery commits a resolved transaction's branch
+	// at a site — a crash-recovered prepared branch applies its redo only
+	// then. The federation hooks it to drop that site's cached
+	// statistics: they steer bind-join choice and source pruning, so
+	// they must not predate a write. Ordinary commits and aborts need no
+	// call, because a site's statistics already cover both outcomes of
+	// every open transaction. Set it before the coordinator begins
+	// transactions; the callback must be safe to call from multiple
+	// goroutines.
+	OnWrite func(site string)
 
 	nextID atomic.Uint64
 	Stats  Stats
@@ -425,6 +430,7 @@ func (t *Txn) ExecSite(ctx context.Context, site, sql string) (int, error) {
 	opctx, cancel := t.opCtx(ctx)
 	defer cancel()
 	n, err := br.conn.Exec(opctx, br.id, sql)
+	t.c.notifyWrite(site)
 	if err != nil {
 		return 0, t.handleErr(err)
 	}
@@ -558,14 +564,13 @@ func (t *Txn) Commit(ctx context.Context) error {
 	t.mu.Unlock()
 	t.c.retire(t)
 	t.c.Stats.Committed.Add(1)
-	t.c.notifyCommit()
 	return nil
 }
 
-// notifyCommit fires the OnCommit hook, if any.
-func (c *Coordinator) notifyCommit() {
-	if hook := c.OnCommit; hook != nil {
-		hook()
+// notifyWrite fires the OnWrite hook, if any.
+func (c *Coordinator) notifyWrite(site string) {
+	if hook := c.OnWrite; hook != nil {
+		hook(site)
 	}
 }
 
@@ -590,7 +595,6 @@ func (t *Txn) commitOnePhase(ctx context.Context, branches map[string]branch) er
 	t.mu.Unlock()
 	t.c.retire(t)
 	t.c.Stats.Committed.Add(1)
-	t.c.notifyCommit()
 	return nil
 }
 
@@ -688,7 +692,6 @@ func (t *Txn) resolveInDoubt(commit bool) {
 	t.c.Stats.InDoubt.Add(-1)
 	if commit {
 		t.c.Stats.Committed.Add(1)
-		t.c.notifyCommit()
 	} else {
 		t.c.Stats.Aborted.Add(1)
 	}

@@ -372,6 +372,9 @@ func (c *Coordinator) resolve(ctx context.Context, p *pendingGlobal) error {
 		var err error
 		if p.decided {
 			err = conn.Commit(pctx, p.branches[i])
+			if err == nil {
+				c.notifyWrite(site)
+			}
 		} else {
 			err = conn.Abort(pctx, p.branches[i])
 		}
@@ -389,11 +392,7 @@ func (c *Coordinator) resolve(ctx context.Context, p *pendingGlobal) error {
 	}
 	c.logEnd(p.gid)
 	if p.txn != nil {
-		p.txn.resolveInDoubt(p.decided) // fires OnCommit for commits
-	} else if p.decided {
-		// Replayed from the log after a restart: no Txn to move, but the
-		// re-driven commit changed site state all the same.
-		c.notifyCommit()
+		p.txn.resolveInDoubt(p.decided)
 	}
 	return nil
 }

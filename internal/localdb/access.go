@@ -16,7 +16,7 @@ import (
 // pushed-down conjuncts (and, for the first FROM entry, the statement's
 // ORDER BY intent), it chooses between a heap scan, a hash-index
 // equality probe, and an ordered-index range scan by estimated
-// selectivity from the table's cached statistics — and reports whether
+// selectivity from the table's maintained statistics — and reports whether
 // the chosen path already delivers rows in the requested order, which
 // lets the executor drop the sort/top-K/spill stage entirely.
 
@@ -451,17 +451,11 @@ func servesGroupSet(want, rem []string, eqCols map[string]bool) bool {
 // chooseAccess picks the access path for one base table given its
 // pushed-down conjuncts, the statement's order hint, and — for grouped
 // statements — the group-key columns resolved onto this table (nil
-// when grouping cannot stream). Callers must hold the database latch
-// (the stats read touches table rows when the cache is stale).
+// when grouping cannot stream). Callers must hold the database latch.
 func chooseAccess(t *storage.Table, local []sqlparser.Expr, hint *orderHint, groupCols []string) accessChoice {
 	sc := t.Schema
-	stats := t.CachedStats()
+	stats := t.Stats()
 	n := stats.Rows
-	if actual := int64(t.Len()); actual > n {
-		// Stats lag behind bulk loads; never let the model see a table
-		// smaller than it is.
-		n = actual
-	}
 	ranges := extractRanges(local, sc)
 	inLists := extractInLists(local, sc)
 	eqCols := make(map[string]bool, len(ranges))

@@ -95,6 +95,11 @@ type DB struct {
 	// transaction ids start past it so a coordinator re-driving an old
 	// branch can never address an unrelated new transaction.
 	maxBranch uint64
+	// scratch marks a per-query scratch engine (NewScratch). It skips the
+	// amortized statistics rescan: its tables grow by small batched
+	// loads, which would rescan them about nine times over, yet they
+	// carry no indexes for Distinct to steer and are never exported.
+	scratch bool
 }
 
 // ScannedRows reports the total rows heap scans have pulled from
@@ -143,7 +148,11 @@ func NewWithBudget(name string, budget *spill.Budget) *DB {
 // WAL (the spill layer handles its memory bounds). The executor threads
 // its per-query budget in this way, so a federated sort and the
 // integration combiners draw on one account.
-func NewScratch(budget *spill.Budget) *DB { return newDB("scratch", budget) }
+func NewScratch(budget *spill.Budget) *DB {
+	db := newDB("scratch", budget)
+	db.scratch = true
+	return db
+}
 
 func newDB(name string, budget *spill.Budget) *DB {
 	return &DB{
@@ -183,7 +192,9 @@ func (db *DB) TableSchema(name string) (*schema.Schema, error) {
 	return t.Schema.Clone(), nil
 }
 
-// TableStats computes statistics for the optimizer.
+// TableStats returns the table's statistics snapshot for the optimizer
+// in O(columns) (see storage.Table.Stats): it covers every state an
+// open transaction's commit or rollback can produce.
 func (db *DB) TableStats(name string) (storage.TableStats, error) {
 	db.latch.RLock()
 	defer db.latch.RUnlock()
@@ -192,6 +203,15 @@ func (db *DB) TableStats(name string) (storage.TableStats, error) {
 		return storage.TableStats{}, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
 	return t.Stats(), nil
+}
+
+// settleStats runs a table's amortized statistics rescan if it is due.
+// Called at the end of each write statement, transaction and load;
+// callers hold the database latch exclusively.
+func (db *DB) settleStats(t *storage.Table) {
+	if !db.scratch {
+		t.RefreshStats()
+	}
 }
 
 func (db *DB) table(name string) (*storage.Table, error) {
@@ -403,6 +423,38 @@ type Txn struct {
 	// rides the prepare record so a recovered prepared branch keeps its
 	// place in the global waits-for graph.
 	gid uint64
+	// held lists the row images this transaction keeps counted in its
+	// tables' statistics until it ends: the old images it deleted or
+	// overwrote, or — for a recovered branch — the new images its commit
+	// will write.
+	held []heldImage
+}
+
+// heldImage is one row image held in a table's statistics.
+type heldImage struct {
+	t   *storage.Table
+	row schema.Row
+}
+
+// hold keeps r counted in t's statistics until the transaction ends.
+// Callers hold the database latch exclusively.
+func (tx *Txn) hold(t *storage.Table, r schema.Row) {
+	t.HoldImage(r)
+	tx.held = append(tx.held, heldImage{t: t, row: r})
+}
+
+// releaseHeld drops the transaction's held images and settles the
+// statistics of every table it touched. Callers hold the database
+// latch exclusively.
+func (tx *Txn) releaseHeld(touched map[*storage.Table]bool) {
+	for _, h := range tx.held {
+		h.t.ReleaseImage(h.row)
+		touched[h.t] = true
+	}
+	tx.held = nil
+	for t := range touched {
+		tx.db.settleStats(t)
+	}
 }
 
 // record registers one applied row mutation: the undo entry for
@@ -581,6 +633,9 @@ func (tx *Txn) Commit() error {
 			// stable storage (crash in between replays them from the log).
 			tx.db.latch.Lock()
 			aerr := tx.db.applyOps(tx.redo)
+			if aerr == nil {
+				tx.releaseHeld(map[*storage.Table]bool{})
+			}
 			tx.db.latch.Unlock()
 			if aerr != nil {
 				// Unreachable short of corruption: the branch's slots were
@@ -590,6 +645,11 @@ func (tx *Txn) Commit() error {
 			}
 		}
 		tx.db.maybeCheckpoint()
+	}
+	if len(tx.held) > 0 {
+		tx.db.latch.Lock()
+		tx.releaseHeld(map[*storage.Table]bool{})
+		tx.db.latch.Unlock()
 	}
 	tx.markClean()
 	tx.state = txnCommitted
@@ -619,12 +679,14 @@ func (tx *Txn) rollbackLocked() {
 		tx.db.wal.Append(&wal.Record{Kind: wal.RecAbort, Branch: uint64(tx.id)}) //nolint:errcheck
 	}
 	tx.db.latch.Lock()
+	touched := make(map[*storage.Table]bool)
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		u := tx.undo[i]
 		t, err := tx.db.table(u.table)
 		if err != nil {
 			continue // table dropped by this txn's DDL undo
 		}
+		touched[t] = true
 		switch u.kind {
 		case undoInsert:
 			t.Delete(u.id) //nolint:errcheck // best-effort compensation
@@ -634,6 +696,7 @@ func (tx *Txn) rollbackLocked() {
 			t.Update(u.id, u.old) //nolint:errcheck
 		}
 	}
+	tx.releaseHeld(touched)
 	tx.db.latch.Unlock()
 	tx.markClean()
 	tx.undo, tx.redo = nil, nil

@@ -46,8 +46,9 @@ type DurabilityOptions struct {
 // record past the snapshot's LSN is replayed. Recovery rebuilds
 // secondary indexes — ordered-index walks over the recovered state are
 // identical to the pre-crash committed state, including RowID
-// tie-breaks — and table statistics are recomputed from the recovered
-// rows on first use.
+// tie-breaks — and table statistics are rescanned from the recovered
+// rows, with each recovered prepared branch's pending images held in
+// them.
 func Open(name, dir string, opts DurabilityOptions) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("localdb %s: creating %s: %w", name, dir, err)
@@ -89,6 +90,9 @@ func Open(name, dir string, opts DurabilityOptions) (*DB, error) {
 	l.AdvanceLSN(snapLSN)
 	db.wal = l
 	db.promoteRecovered()
+	for _, t := range db.tables {
+		db.settleStats(t)
+	}
 
 	if opts.CheckpointBytes > 0 {
 		db.ckptNotify = make(chan struct{}, 1)
@@ -238,11 +242,17 @@ func (db *DB) promoteRecovered() {
 		}
 		for i := range rec.Ops {
 			op := &rec.Ops[i]
-			if op.Kind != wal.OpInsert {
+			t, err := db.table(op.Table)
+			if err != nil {
 				continue
 			}
-			if t, err := db.table(op.Table); err == nil {
+			if op.Kind == wal.OpInsert {
 				t.ReserveSlots(storage.RowID(op.Row))
+			}
+			if op.Kind == wal.OpInsert || op.Kind == wal.OpUpdate {
+				// The branch's commit will write this image: count it in
+				// the statistics now, so they cover the commit outcome.
+				tx.hold(t, op.Vals)
 			}
 		}
 	}

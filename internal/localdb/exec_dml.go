@@ -85,6 +85,7 @@ func (tx *Txn) execInsert(ctx context.Context, s *sqlparser.Insert) (*ExecResult
 
 	tx.db.latch.Lock()
 	defer tx.db.latch.Unlock()
+	defer tx.db.settleStats(t)
 	inserted := 0
 	for _, row := range rows {
 		id, err := t.Insert(row)
@@ -247,6 +248,7 @@ func (tx *Txn) execUpdate(ctx context.Context, s *sqlparser.Update) (*ExecResult
 
 	tx.db.latch.Lock()
 	defer tx.db.latch.Unlock()
+	defer tx.db.settleStats(t)
 	updated := 0
 	for _, id := range ids {
 		old := t.Get(id)
@@ -265,6 +267,7 @@ func (tx *Txn) execUpdate(ctx context.Context, s *sqlparser.Update) (*ExecResult
 		if err != nil {
 			return nil, err
 		}
+		tx.hold(t, prev)
 		lc := strings.ToLower(s.Table)
 		tx.record(undoRec{kind: undoUpdate, table: lc, id: id, old: prev},
 			wal.Op{Kind: wal.OpUpdate, Table: lc, Row: int64(id), Vals: t.Get(id)})
@@ -280,12 +283,14 @@ func (tx *Txn) execDelete(ctx context.Context, s *sqlparser.Delete) (*ExecResult
 	}
 	tx.db.latch.Lock()
 	defer tx.db.latch.Unlock()
+	defer tx.db.settleStats(t)
 	deleted := 0
 	for _, id := range ids {
 		old, err := t.Delete(id)
 		if err != nil {
 			continue
 		}
+		tx.hold(t, old)
 		lc := strings.ToLower(s.Table)
 		tx.record(undoRec{kind: undoDelete, table: lc, id: id, old: old},
 			wal.Op{Kind: wal.OpDelete, Table: lc, Row: int64(id)})

@@ -623,7 +623,7 @@ func selectHasAggregates(sel *sqlparser.Select) bool {
 //
 // Among full-scan alternatives the access path — heap scan, hash-index
 // equality probe, or ordered-index range scan — is chosen by estimated
-// selectivity over the table's cached statistics (see chooseAccess).
+// selectivity over the table's maintained statistics (see chooseAccess).
 // hint, non-nil only for the statement's first FROM entry, carries a
 // single-column ORDER BY the scan may satisfy by walking an ordered
 // index; the returned choice reports whether it did, letting the caller

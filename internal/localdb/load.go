@@ -51,6 +51,7 @@ func (db *DB) Load(table string, rows []schema.Row) error {
 			ops = append(ops, wal.Op{Kind: wal.OpInsert, Table: lc, Row: int64(id), Vals: t.Get(id)})
 		}
 	}
+	db.settleStats(t)
 	if len(ops) > 0 {
 		if _, err := db.wal.Append(&wal.Record{Kind: wal.RecCommit, Ops: ops}); err != nil {
 			return fmt.Errorf("localdb %s: load log append: %w", db.name, err)

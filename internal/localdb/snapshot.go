@@ -209,6 +209,7 @@ func (db *DB) loadSnapshot(r io.Reader) (uint64, error) {
 				return 0, fmt.Errorf("localdb: snapshot ordered index on %s (%s): %w", ts.Schema.Table, strings.Join(cols, ", "), err)
 			}
 		}
+		db.settleStats(t)
 		tables[strings.ToLower(ts.Schema.Table)] = t
 	}
 

@@ -70,7 +70,7 @@ type RemoteScan struct {
 	SemiProbe sqlparser.Expr
 	EstRows   float64
 	// Pruned, when non-empty, records why source selection dropped this
-	// scan: the catalog/cached statistics prove the fragment cannot
+	// scan: the catalog/site statistics prove the fragment cannot
 	// contribute rows (empty fragment, or a pushed conjunct disjoint
 	// with the column's [min, max]). The executor substitutes an empty
 	// fragment instead of contacting the site.
@@ -576,10 +576,12 @@ func (p *Planner) pushSelections(sel *sqlparser.Select, sets map[string]*ScanSet
 // Def.Sources — marked with the reason; the executor substitutes an
 // empty fragment instead of contacting the site.
 //
-// Pruning makes cached statistics correctness-bearing, so the stats
-// cache must be invalidated on writes; core wires gtm commits to
-// Federation.InvalidateStats, and out-of-band loads must call it
-// explicitly (see internal/planner/README.md).
+// Pruning makes cached statistics correctness-bearing. Sites serve
+// snapshots that cover both outcomes of every open transaction, and
+// core drops a site's cache entries whenever the federation writes
+// there (gtm's OnWrite: each ExecSite, each recovered commit), so a
+// proof never predates a write; out-of-band loads must call
+// Federation.InvalidateStats (see internal/planner/README.md).
 func (p *Planner) pruneSources(ctx context.Context, sets map[string]*ScanSet) {
 	for _, ss := range sets {
 		changed := false

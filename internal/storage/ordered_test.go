@@ -519,32 +519,87 @@ func TestCachedStatsStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	insert := func(lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if _, err := tbl.Insert(schema.Row{value.NewInt(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(rows, distinct, max int64) {
+		t.Helper()
+		s := tbl.Stats()
+		v, _ := s.Col("v")
+		hi, _ := v.Max.Int()
+		if s.Rows != rows || v.Distinct != distinct || hi != max {
+			t.Fatalf("stats = rows %d distinct %d max %v, want %d %d %d", s.Rows, v.Distinct, v.Max, rows, distinct, max)
+		}
+	}
+	insert(0, 4000)
+	tbl.RefreshStats()
+	check(4000, 4000, 3999)
+	// A few mutations stay inside the staleness allowance (rows/8):
+	// Distinct is not recounted, while Rows and Max are current.
+	insert(4000, 4100)
+	tbl.RefreshStats()
+	check(4100, 4000, 4099)
+	// Blowing past the allowance recounts.
+	insert(4100, 4600)
+	tbl.RefreshStats()
+	check(4600, 4600, 4599)
+}
+
+func TestStatsBoundsNarrowOnlyWithoutHeldImages(t *testing.T) {
+	sc := &schema.Schema{
+		Table:   "t",
+		Columns: []schema.Column{{Name: "v", Type: schema.TInt}},
+	}
+	tbl, err := NewTable(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []RowID
 	for i := 0; i < 10; i++ {
-		if _, err := tbl.Insert(schema.Row{value.NewInt(int64(i))}); err != nil {
+		id, err := tbl.Insert(schema.Row{value.NewInt(int64(i))})
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
 	}
-	s1 := tbl.CachedStats()
-	if s1.Rows != 10 {
-		t.Fatalf("Rows = %d", s1.Rows)
+	bounds := func() (int64, int64, int64) {
+		s := tbl.Stats()
+		v, _ := s.Col("v")
+		lo, _ := v.Min.Int()
+		hi, _ := v.Max.Int()
+		return s.Rows, lo, hi
 	}
-	// A few mutations stay inside the staleness allowance.
-	for i := 10; i < 20; i++ {
-		if _, err := tbl.Insert(schema.Row{value.NewInt(int64(i))}); err != nil {
+	// An open transaction deletes the top half: the images stay held,
+	// so neither Rows nor the bounds may shrink, even across a rescan.
+	var held []schema.Row
+	for _, id := range ids[5:] {
+		old, err := tbl.Delete(id)
+		if err != nil {
 			t.Fatal(err)
 		}
+		tbl.HoldImage(old)
+		held = append(held, old)
 	}
-	if s2 := tbl.CachedStats(); s2 != s1 {
-		t.Fatal("stats recomputed inside the staleness allowance")
+	tbl.RefreshStats()
+	if rows, lo, hi := bounds(); rows != 10 || lo != 0 || hi != 9 {
+		t.Fatalf("with held images: rows %d [%d, %d], want 10 [0, 9]", rows, lo, hi)
 	}
-	// Blowing past the allowance recomputes.
-	for i := 20; i < 20+statsStaleRows+1; i++ {
-		if _, err := tbl.Insert(schema.Row{value.NewInt(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
+	// The transaction commits: the images go, and the next due rescan
+	// narrows the bounds to the surviving rows.
+	for _, r := range held {
+		tbl.ReleaseImage(r)
 	}
-	if s3 := tbl.CachedStats(); s3 == s1 || s3.Rows != int64(20+statsStaleRows+1) {
-		t.Fatalf("stats not refreshed: %+v", s3)
+	if rows, _, hi := bounds(); rows != 5 || hi != 9 {
+		t.Fatalf("after release: rows %d max %d, want 5 and the unnarrowed 9", rows, hi)
+	}
+	tbl.RefreshStats()
+	if rows, lo, hi := bounds(); rows != 5 || lo != 0 || hi != 4 {
+		t.Fatalf("after rescan: rows %d [%d, %d], want 5 [0, 4]", rows, lo, hi)
 	}
 }
 

@@ -20,82 +20,119 @@ type TableStats struct {
 	Columns []ColumnStats
 }
 
-// Stats computes fresh statistics with one scan. MYRIAD gateways call
-// this on demand and the federation caches the result; the component
-// databases in the paper exposed equivalent catalog views.
+// Stats returns the table's statistics in O(columns): no scan. Every
+// mutation keeps Rows and each column's Nulls exact and widens Min/Max
+// (a delete never narrows them); Distinct comes from the last amortized
+// rescan (RefreshStats). Row images held for an open transaction
+// (HoldImage) count in Rows and Nulls and lie inside [Min, Max], so the
+// snapshot covers every state that transaction's commit or rollback can
+// produce — pruning a fragment on it ("empty fragment", "all NULL",
+// disjoint bounds) never hides a row either outcome could leave behind.
+// MYRIAD gateways serve it on demand and the federation caches it; the
+// component databases in the paper exposed equivalent catalog views.
+// Callers hold the database latch (any mode).
 func (t *Table) Stats() TableStats {
-	ts := TableStats{Table: t.Schema.Table, Rows: int64(t.Len())}
-	n := len(t.Schema.Columns)
-	distinct := make([]map[uint64]bool, n)
-	for i := range distinct {
-		distinct[i] = make(map[uint64]bool)
+	ts := TableStats{Table: t.Schema.Table, Rows: int64(t.live) + t.held}
+	ts.Columns = make([]ColumnStats, len(t.Schema.Columns))
+	for i, col := range t.Schema.Columns {
+		ts.Columns[i] = ColumnStats{
+			Name:     col.Name,
+			Distinct: t.distinct[i],
+			Nulls:    t.nulls[i],
+			Min:      t.mins[i],
+			Max:      t.maxs[i],
+		}
 	}
-	nulls := make([]int64, n)
+	return ts
+}
+
+// HoldImage keeps a row image in the statistics until ReleaseImage: the
+// DBMS holds the old image a transaction deleted or overwrote (its
+// rollback restores it) and the new image a recovered prepared branch
+// has yet to apply (its commit writes it). Callers hold the database
+// latch exclusively.
+func (t *Table) HoldImage(r schema.Row) {
+	t.held++
+	t.countImage(r, 1)
+}
+
+// ReleaseImage drops a held image once its transaction has ended.
+// Callers hold the database latch exclusively.
+func (t *Table) ReleaseImage(r schema.Row) {
+	t.held--
+	t.countImage(r, -1)
+	t.muts++ // a release may be what lets the next rescan narrow
+}
+
+// countImage adds (delta 1) or removes (delta -1) one row image from
+// the maintained statistics. Adding widens Min/Max; removing never
+// narrows them — only a rescan with no held images does.
+func (t *Table) countImage(r schema.Row, delta int64) {
+	for i, v := range r {
+		if v.IsNull() {
+			t.nulls[i] += delta
+		} else if delta > 0 {
+			widen(t.mins, t.maxs, i, v)
+		}
+	}
+}
+
+// widen stretches the bounds pair [mins[i], maxs[i]] to cover the
+// non-NULL value v.
+func widen(mins, maxs []value.Value, i int, v value.Value) {
+	if mins[i].IsNull() {
+		mins[i], maxs[i] = v, v
+		return
+	}
+	if c, ok := value.Compare(v, mins[i]); ok && c < 0 {
+		mins[i] = v
+	}
+	if c, ok := value.Compare(v, maxs[i]); ok && c > 0 {
+		maxs[i] = v
+	}
+}
+
+// statsStaleFraction bounds how stale Distinct may grow: the rescan
+// reruns once the mutations since the last one exceed rows/8, so its
+// amortized cost is at most eight row visits per mutation and each
+// column's Distinct is off by at most rows/8.
+const statsStaleFraction = 8
+
+// RefreshStats reruns the amortized rescan when it is due: once the
+// mutations since the last rescan exceed rows/statsStaleFraction. The
+// rescan recounts Distinct over the live rows and, when no image is
+// held, narrows Min/Max to the live rows' bounds (with a held image
+// present the widened bounds stay, so they keep covering it). The DBMS
+// calls it at the end of each write statement and transaction, never
+// on a read. Callers hold the database latch exclusively.
+func (t *Table) RefreshStats() {
+	if t.muts <= (int64(t.live)+t.held)/statsStaleFraction {
+		return
+	}
+	t.muts = 0
+	n := len(t.Schema.Columns)
+	seen := make([]map[uint64]struct{}, n)
+	for i := range seen {
+		seen[i] = make(map[uint64]struct{}, int(t.distinct[i]))
+	}
 	mins := make([]value.Value, n)
 	maxs := make([]value.Value, n)
 	t.Scan(func(_ RowID, r schema.Row) bool {
 		for i, v := range r {
 			if v.IsNull() {
-				nulls[i]++
 				continue
 			}
-			distinct[i][v.Hash()] = true
-			if mins[i].IsNull() {
-				mins[i], maxs[i] = v, v
-				continue
-			}
-			if c, ok := value.Compare(v, mins[i]); ok && c < 0 {
-				mins[i] = v
-			}
-			if c, ok := value.Compare(v, maxs[i]); ok && c > 0 {
-				maxs[i] = v
-			}
+			seen[i][v.Hash()] = struct{}{}
+			widen(mins, maxs, i, v)
 		}
 		return true
 	})
-	for i, col := range t.Schema.Columns {
-		ts.Columns = append(ts.Columns, ColumnStats{
-			Name:     col.Name,
-			Distinct: int64(len(distinct[i])),
-			Nulls:    nulls[i],
-			Min:      mins[i],
-			Max:      maxs[i],
-		})
+	for i := range seen {
+		t.distinct[i] = int64(len(seen[i]))
 	}
-	return ts
-}
-
-// statsStaleRows is the minimum mutation count between automatic stats
-// recomputations; larger tables additionally tolerate staleness
-// proportional to their size (an eighth of the rows), so the amortized
-// cost of keeping stats fresh is a small constant per mutation.
-const statsStaleRows = 256
-
-// CachedStats returns statistics that are at most mildly stale: the
-// cached snapshot is reused until the table has seen max(256, rows/8)
-// mutations since it was computed, then recomputed with one scan. The
-// access-path planner consults this on every query, so it must not pay
-// a full scan per query; the tolerated staleness shifts estimates by at
-// most ~12.5%, well inside the cost model's noise. Callers must hold
-// the database latch (any mode) for the duration, like Stats.
-func (t *Table) CachedStats() *TableStats {
-	muts := t.muts.Load()
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	if t.stats != nil {
-		stale := muts - t.statsAt
-		allow := int64(statsStaleRows)
-		if byRows := t.stats.Rows / 8; byRows > allow {
-			allow = byRows
-		}
-		if stale <= allow {
-			return t.stats
-		}
+	if t.held == 0 {
+		t.mins, t.maxs = mins, maxs
 	}
-	ts := t.Stats()
-	t.stats = &ts
-	t.statsAt = muts
-	return t.stats
 }
 
 // EqFraction estimates the fraction of the table's rows whose column

@@ -2,23 +2,19 @@
 // component DBMSs: append-only row slots with tombstones, a primary-key
 // hash index, optional secondary indexes (hash for equality, ordered
 // B+trees for range scans and sort-order delivery), and per-column
-// statistics — computed on demand and cached with bounded staleness —
-// used by the access-path planners. See README.md for the access-method
+// statistics — maintained on every mutation and served in O(columns) —
+// used by the access-path planners and exported to the federation. See README.md for the access-method
 // catalog and the ordering contract.
 //
 // The engine is deliberately not thread-safe: concurrency control is the
 // job of the lock manager (internal/lockmgr) driven by the DBMS
 // transaction layer, matching the paper's strict-2PL component DBMSs.
-// (The statistics cache carries its own internal synchronization so
-// concurrent readers under the database latch can share it.)
 package storage
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"myriad/internal/schema"
 	"myriad/internal/value"
@@ -38,14 +34,15 @@ type Table struct {
 	indexes map[string]*HashIndex  // secondary hash, by lower-cased column name
 	ordered map[string]*orderedDef // secondary ordered, by lower-cased comma-joined column list
 
-	// Statistics cache (see CachedStats). muts counts mutations since
-	// creation and is atomic so readers under the shared database latch
-	// can check staleness against writers; the cache itself is guarded
-	// by statsMu because concurrent readers may race to refill it.
-	muts    atomic.Int64
-	statsMu sync.Mutex
-	stats   *TableStats
-	statsAt int64
+	// Statistics (see Stats), maintained by every mutation under the
+	// same exclusive database latch as the rows. held counts the images
+	// kept by HoldImage; nulls counts live and held images alike; muts
+	// counts mutations since the last rescan (RefreshStats).
+	held       int64
+	nulls      []int64
+	mins, maxs []value.Value
+	distinct   []int64
+	muts       int64
 }
 
 // NewTable creates an empty table for the schema (which is validated).
@@ -58,6 +55,10 @@ func NewTable(sc *schema.Schema) (*Table, error) {
 		indexes: make(map[string]*HashIndex),
 		ordered: make(map[string]*orderedDef),
 	}
+	n := len(sc.Columns)
+	t.nulls = make([]int64, n)
+	t.mins, t.maxs = make([]value.Value, n), make([]value.Value, n)
+	t.distinct = make([]int64, n)
 	if len(sc.Key) > 0 {
 		t.pk = make(map[string]RowID)
 	}
@@ -116,7 +117,8 @@ func (t *Table) Insert(r schema.Row) (RowID, error) {
 	for _, d := range t.ordered {
 		d.ix.add(d.keyOf(coerced), id)
 	}
-	t.muts.Add(1)
+	t.countImage(coerced, 1)
+	t.muts++
 	return id, nil
 }
 
@@ -145,7 +147,8 @@ func (t *Table) InsertAt(id RowID, r schema.Row) error {
 	for _, d := range t.ordered {
 		d.ix.add(d.keyOf(r), id)
 	}
-	t.muts.Add(1)
+	t.countImage(r, 1)
+	t.muts++
 	return nil
 }
 
@@ -192,7 +195,8 @@ func (t *Table) ApplyInsert(id RowID, r schema.Row) error {
 	for _, d := range t.ordered {
 		d.ix.add(d.keyOf(coerced), id)
 	}
-	t.muts.Add(1)
+	t.countImage(coerced, 1)
+	t.muts++
 	return nil
 }
 
@@ -257,7 +261,8 @@ func (t *Table) Delete(id RowID) (schema.Row, error) {
 	}
 	t.rows[id] = nil
 	t.live--
-	t.muts.Add(1)
+	t.countImage(old, -1)
+	t.muts++
 	return old, nil
 }
 
@@ -307,7 +312,9 @@ func (t *Table) Update(id RowID, r schema.Row) (schema.Row, error) {
 		}
 	}
 	t.rows[id] = coerced
-	t.muts.Add(1)
+	t.countImage(old, -1)
+	t.countImage(coerced, 1)
+	t.muts++
 	return old, nil
 }
 

@@ -239,6 +239,7 @@ func TestStats(t *testing.T) {
 	tbl.Insert(row(3, "a", 30))                                             //nolint:errcheck
 	tbl.Insert(schema.Row{value.NewInt(4), value.Null(), value.NewInt(20)}) //nolint:errcheck
 
+	tbl.RefreshStats()
 	ts := tbl.Stats()
 	if ts.Rows != 4 {
 		t.Errorf("rows = %d", ts.Rows)

@@ -390,3 +390,61 @@ func BenchmarkOuterMergeSpill(b *testing.B) {
 		run(b, executor.Options{MemBudget: 64 * 1024, SpillDir: dir}, true)
 	})
 }
+
+// BenchmarkCommitThenQuery measures a cost-based point-filter query
+// over two 100k-row sites right after a global commit. query-only is
+// the warm baseline; write-commit-then-query first commits a two-site
+// write (whose sites must refetch statistics, served from the sites'
+// maintained snapshots in O(columns)); readonly-commit-then-query
+// first commits a read-only two-site transaction, which leaves the
+// federation's statistics cache warm.
+func BenchmarkCommitThenQuery(b *testing.B) {
+	fx := twoSiteUnion(b, integration.UnionAll, 100_000, 100_000, false, 0)
+	ctx := context.Background()
+	const sql = `SELECT id, v FROM R WHERE v = 3 LIMIT 10`
+	ids := map[string]int{"a": 5, "b": 1_000_005}
+
+	query := func(b *testing.B) {
+		rs, err := fx.Fed.QueryWith(ctx, sql, core.StrategyCostBased)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rs.Rows) != 10 {
+			b.Fatalf("got %d rows", len(rs.Rows))
+		}
+	}
+	commit := func(b *testing.B, write bool) {
+		txn := fx.Fed.Begin()
+		for _, s := range []string{"a", "b"} {
+			var err error
+			if write {
+				_, err = txn.ExecSite(ctx, s, fmt.Sprintf(`UPDATE T SET v = v WHERE id = %d`, ids[s]))
+			} else {
+				_, err = txn.QuerySite(ctx, s, fmt.Sprintf(`SELECT v FROM T WHERE id = %d`, ids[s]))
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := txn.Commit(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run := func(b *testing.B, before func(*testing.B)) {
+		before(b)
+		query(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			before(b)
+			query(b)
+		}
+	}
+	b.Run("query-only", func(b *testing.B) { run(b, func(*testing.B) {}) })
+	b.Run("write-commit-then-query", func(b *testing.B) {
+		run(b, func(b *testing.B) { commit(b, true) })
+	})
+	b.Run("readonly-commit-then-query", func(b *testing.B) {
+		run(b, func(b *testing.B) { commit(b, false) })
+	})
+}
