@@ -19,12 +19,25 @@ import (
 
 	"myriad"
 	"myriad/internal/catalog"
+	"myriad/internal/executor"
 	"myriad/internal/gtm"
 	"myriad/internal/integration"
 	"myriad/internal/localdb"
 	"myriad/internal/schema"
 	"myriad/internal/workload"
 )
+
+// runMetered runs sql under strat, drains the result and returns the
+// execution metrics, settled by the stream's Close.
+func runMetered(ctx context.Context, fed *myriad.Federation, sql string, strat myriad.Strategy) (*executor.Metrics, error) {
+	rows, m, err := fed.Run(ctx, nil, sql, strat)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	_, err = schema.DrainStream(ctx, rows)
+	return m, err
+}
 
 // ---------------------------------------------------------------------
 // E1 — schema integration: materializing an integrated relation via
@@ -128,7 +141,7 @@ func BenchmarkE2Pushdown(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				var shipped int
 				for i := 0; i < b.N; i++ {
-					_, m, err := dep.Fed.QueryMetered(ctx, sql, strat)
+					m, err := runMetered(ctx, dep.Fed, sql, strat)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -160,7 +173,7 @@ func BenchmarkE3Join(b *testing.B) {
 				var shipped int
 				semi := false
 				for i := 0; i < b.N; i++ {
-					_, m, err := dep.Fed.QueryMetered(ctx, sql, strat)
+					m, err := runMetered(ctx, dep.Fed, sql, strat)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -374,7 +387,7 @@ func BenchmarkE7Scaleout(b *testing.B) {
 			b.Run(fmt.Sprintf("%v/sites=%d", strat, sites), func(b *testing.B) {
 				var shipped int
 				for i := 0; i < b.N; i++ {
-					_, m, err := dep.Fed.QueryMetered(ctx,
+					m, err := runMetered(ctx, dep.Fed,
 						`SELECT category, COUNT(*) AS n, ROUND(AVG(price), 2) AS avg_price FROM PARTS GROUP BY category`,
 						strat)
 					if err != nil {

@@ -1,5 +1,5 @@
 // Command benchjson converts `go test -bench` output on stdin into a
-// machine-readable JSON artifact (BENCH_PR*.json in CI). The artifact
+// machine-readable JSON artifact (BENCH_<commit>.json in CI). The artifact
 // stays benchstat-compatible: the "raw" field preserves the benchmark
 // text lines verbatim, so `jq -r '.raw[]' BENCH_PR5.json | benchstat
 // /dev/stdin` (or any tool speaking the Go benchmark format) consumes

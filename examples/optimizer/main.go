@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"myriad"
+	"myriad/internal/schema"
 	"myriad/internal/workload"
 )
 
@@ -51,8 +52,11 @@ func main() {
 func compare(ctx context.Context, fed *myriad.Federation, sql string) {
 	for _, strat := range []myriad.Strategy{myriad.StrategySimple, myriad.StrategyCostBased} {
 		start := time.Now()
-		rs, m, err := fed.QueryMetered(ctx, sql, strat)
+		rows, m, err := fed.Run(ctx, nil, sql, strat)
 		must(err)
+		rs, err := schema.DrainStream(ctx, rows)
+		must(err)
+		must(rows.Close()) // settles m.RowsShipped
 		fmt.Printf("  %-11v %8.2fms  %6d rows shipped  (%d result rows)\n",
 			strat, float64(time.Since(start).Microseconds())/1000, m.RowsShipped, len(rs.Rows))
 	}

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"myriad"
+	"myriad/internal/schema"
 	"myriad/internal/value"
 )
 
@@ -118,8 +119,11 @@ func main() {
 	q := `SELECT name FROM ALL_STUDENTS WHERE gpa >= 3.5 AND campus = 'east'`
 	fmt.Println("\n== optimizer strategies ==")
 	for _, strat := range []myriad.Strategy{myriad.StrategySimple, myriad.StrategyCostBased} {
-		_, metrics, err := fed.QueryMetered(ctx, q, strat)
+		rows, metrics, err := fed.Run(ctx, nil, q, strat)
 		must(err)
+		_, err = schema.DrainStream(ctx, rows)
+		must(err)
+		must(rows.Close()) // settles metrics.RowsShipped
 		fmt.Printf("%-11v rows shipped from sites: %d\n", strat, metrics.RowsShipped)
 	}
 	plan, err := fed.Explain(ctx, q, myriad.StrategyCostBased)

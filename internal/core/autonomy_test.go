@@ -174,7 +174,7 @@ func TestTransactionalReadIsolation(t *testing.T) {
 	ctx := context.Background()
 
 	txn := fed.Begin()
-	rs1, err := fed.QueryTx(ctx, txn, `SELECT COUNT(*) FROM ALL_STUDENTS`)
+	rs1, _, err := collect(ctx, fed, txn, `SELECT COUNT(*) FROM ALL_STUDENTS`, fed.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestTransactionalReadIsolation(t *testing.T) {
 	}
 
 	// ...so a second read inside the transaction sees the same count.
-	rs2, err := fed.QueryTx(ctx, txn, `SELECT COUNT(*) FROM ALL_STUDENTS`)
+	rs2, _, err := collect(ctx, fed, txn, `SELECT COUNT(*) FROM ALL_STUDENTS`, fed.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}

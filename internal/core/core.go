@@ -69,7 +69,7 @@ type Federation struct {
 	siteGen map[string]uint64
 	wipes   uint64
 
-	// Strategy is the default optimizer for Query; QueryWith overrides.
+	// Strategy is the default optimizer for Query; Run takes its own.
 	Strategy Strategy
 	// QueryTimeout bounds each remote subquery of autocommit global
 	// queries; zero disables. Global transactions use LocalQueryTimeout.
@@ -409,15 +409,39 @@ func (f *Federation) plan(ctx context.Context, sql string, strategy Strategy) (*
 	return pl.Plan(ctx, sel, strategy)
 }
 
-// Query runs a global SELECT with the federation's default strategy.
-func (f *Federation) Query(ctx context.Context, sql string) (*schema.ResultSet, error) {
-	return f.QueryWith(ctx, sql, f.Strategy)
+// Run runs a global SELECT under strategy and returns the result as a
+// row stream the caller must Close, with its execution metrics. Remote
+// fragments pipeline through integration into the residual evaluation,
+// whose rows the stream yields incrementally; an early Close tears the
+// execution down. With a nil txn the query runs autocommit, each
+// subquery bounded by QueryTimeout. Inside txn it has serializable
+// semantics via the sites' strict 2PL, and each site's fragment
+// materializes before integration. Every query runs with the
+// federation's executor options. RowsShipped, Sources and the spill
+// counters settle once the stream has been closed: on the
+// scratch-bypass path the remote scans stay live while the client
+// consumes.
+func (f *Federation) Run(ctx context.Context, txn *gtm.Txn, sql string, strategy Strategy) (schema.RowStream, *executor.Metrics, error) {
+	plan, err := f.plan(ctx, sql, strategy)
+	if err != nil {
+		return nil, nil, err
+	}
+	var runner executor.SiteRunner = autocommitRunner{f: f, timeout: f.QueryTimeout}
+	if txn != nil {
+		runner = txn
+	}
+	return executor.Run(ctx, plan, runner, f.execOpts())
 }
 
-// QueryWith runs a global SELECT with an explicit strategy.
-func (f *Federation) QueryWith(ctx context.Context, sql string, strategy Strategy) (*schema.ResultSet, error) {
-	rs, _, err := f.QueryMetered(ctx, sql, strategy)
-	return rs, err
+// Query runs a global SELECT autocommit with the federation's default
+// strategy and returns the whole result.
+func (f *Federation) Query(ctx context.Context, sql string) (*schema.ResultSet, error) {
+	rows, _, err := f.Run(ctx, nil, sql, f.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	return schema.DrainStream(ctx, rows)
 }
 
 // execOpts packages the federation's executor tuning knobs.
@@ -429,49 +453,6 @@ func (f *Federation) execOpts() executor.Options {
 		MemBudget:  f.MemBudget,
 		SpillDir:   f.SpillDir,
 	}
-}
-
-// QueryMetered additionally returns execution metrics (remote queries
-// issued, rows shipped, semijoin use) for the benchmark harness.
-func (f *Federation) QueryMetered(ctx context.Context, sql string, strategy Strategy) (*schema.ResultSet, *executor.Metrics, error) {
-	plan, err := f.plan(ctx, sql, strategy)
-	if err != nil {
-		return nil, nil, err
-	}
-	return executor.ExecuteMeteredOpts(ctx, plan, autocommitRunner{f: f, timeout: f.QueryTimeout}, f.execOpts())
-}
-
-// QueryStream runs a global SELECT and returns the result as a row
-// stream: remote fragments pipeline through integration into the
-// residual evaluation, whose rows the stream yields incrementally. The
-// caller must Close it (early Close tears down the execution).
-func (f *Federation) QueryStream(ctx context.Context, sql string, strategy Strategy) (schema.RowStream, error) {
-	rows, _, err := f.QueryStreamMetered(ctx, sql, strategy)
-	return rows, err
-}
-
-// QueryStreamMetered is QueryStream with execution metrics. On the
-// scratch-bypass path the remote scans stay live while the client
-// consumes, so per-source counters (RowsShipped, Sources) settle once
-// the stream has been closed.
-func (f *Federation) QueryStreamMetered(ctx context.Context, sql string, strategy Strategy) (schema.RowStream, *executor.Metrics, error) {
-	plan, err := f.plan(ctx, sql, strategy)
-	if err != nil {
-		return nil, nil, err
-	}
-	return executor.ExecuteStreamOpts(ctx, plan, autocommitRunner{f: f, timeout: f.QueryTimeout}, f.execOpts())
-}
-
-// QueryTx runs a global SELECT inside a global transaction, giving the
-// query serializable semantics via the sites' strict 2PL. It honours
-// the federation's executor options like every other query path.
-func (f *Federation) QueryTx(ctx context.Context, txn *gtm.Txn, sql string) (*schema.ResultSet, error) {
-	plan, err := f.plan(ctx, sql, f.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	rs, _, err := executor.ExecuteMeteredOpts(ctx, plan, txn, f.execOpts())
-	return rs, err
 }
 
 // Explain plans the query and renders the plan, then asks each site's

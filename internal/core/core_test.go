@@ -10,12 +10,25 @@ import (
 
 	"myriad/internal/catalog"
 	"myriad/internal/dialect"
+	"myriad/internal/executor"
 	"myriad/internal/gateway"
 	"myriad/internal/gtm"
 	"myriad/internal/integration"
 	"myriad/internal/localdb"
 	"myriad/internal/schema"
 )
+
+// collect runs sql through Run and drains the result. The stream is
+// closed before it returns, so the metrics are settled.
+func collect(ctx context.Context, fed *Federation, txn *gtm.Txn, sql string, strategy Strategy) (*schema.ResultSet, *executor.Metrics, error) {
+	st, m, err := fed.Run(ctx, txn, sql, strategy)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer st.Close()
+	rs, err := schema.DrainStream(ctx, st)
+	return rs, m, err
+}
 
 // buildUniversity assembles the canonical two-campus test federation:
 // an Oracle-like site with students/employees and a Postgres-like site
@@ -162,7 +175,7 @@ func TestGlobalQueryBothStrategies(t *testing.T) {
 	}
 	for _, strat := range []Strategy{StrategySimple, StrategyCostBased} {
 		for _, q := range queries {
-			rs, err := fed.QueryWith(ctx, q.sql, strat)
+			rs, _, err := collect(ctx, fed, nil, q.sql, strat)
 			if err != nil {
 				t.Fatalf("[%v] %s: %v", strat, q.sql, err)
 			}
@@ -187,11 +200,11 @@ func TestCostBasedShipsFewerRows(t *testing.T) {
 	ctx := context.Background()
 	sql := `SELECT name FROM ALL_STUDENTS WHERE gpa >= 3.7`
 
-	_, mSimple, err := fed.QueryMetered(ctx, sql, StrategySimple)
+	_, mSimple, err := collect(ctx, fed, nil, sql, StrategySimple)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mCost, err := fed.QueryMetered(ctx, sql, StrategyCostBased)
+	_, mCost, err := collect(ctx, fed, nil, sql, StrategyCostBased)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +273,7 @@ func TestMergeOuterIntegration(t *testing.T) {
 	}
 
 	// Key predicates push through MergeOuter under the cost-based plan.
-	rs, err = fed.QueryWith(ctx, `SELECT email FROM DIRECTORY WHERE pid = 2`, StrategyCostBased)
+	rs, _, err = collect(ctx, fed, nil, `SELECT email FROM DIRECTORY WHERE pid = 2`, StrategyCostBased)
 	if err != nil {
 		t.Fatal(err)
 	}

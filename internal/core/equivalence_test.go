@@ -51,7 +51,12 @@ func TestStrategiesAgreeOnRandomQueries(t *testing.T) {
 		t.Helper()
 		var outs [2][]string
 		for i, strat := range []core.Strategy{core.StrategySimple, core.StrategyCostBased} {
-			rs, err := fed.QueryWith(ctx, sql, strat)
+			st, _, err := fed.Run(ctx, nil, sql, strat)
+			if err != nil {
+				t.Fatalf("[%v] %s: %v", strat, sql, err)
+			}
+			rs, err := schema.DrainStream(ctx, st)
+			st.Close()
 			if err != nil {
 				t.Fatalf("[%v] %s: %v", strat, sql, err)
 			}

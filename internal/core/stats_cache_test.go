@@ -84,10 +84,10 @@ func prunedReasons(t *testing.T, fed *Federation, sql string) map[string]string 
 	return out
 }
 
-// TestQueryTxSeesOwnWriteInPrunedFragment: a warm cache proves id 200
+// TestTxnQuerySeesOwnWriteInPrunedFragment: a warm cache proves id 200
 // disjoint with both fragments; a global transaction then inserts id
 // 200 at west and must find it with its own query.
-func TestQueryTxSeesOwnWriteInPrunedFragment(t *testing.T) {
+func TestTxnQuerySeesOwnWriteInPrunedFragment(t *testing.T) {
 	fed, _, _ := buildUniversity(t)
 	ctx := context.Background()
 	const q = `SELECT name FROM ALL_STUDENTS WHERE id = 200`
@@ -109,12 +109,12 @@ func TestQueryTxSeesOwnWriteInPrunedFragment(t *testing.T) {
 	if _, err := txn.ExecSite(ctx, "west", `INSERT INTO STUDENT (id, name, gpa, year) VALUES (200, 'zed', 3.0, 1)`); err != nil {
 		t.Fatal(err)
 	}
-	rs, err = fed.QueryTx(ctx, txn, q)
+	rs, _, err = collect(ctx, fed, txn, q, fed.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rows(t, rs); got != "zed" {
-		t.Fatalf("QueryTx after own insert = %q, want zed", got)
+		t.Fatalf("transactional query after own insert = %q, want zed", got)
 	}
 	if err := txn.Commit(ctx); err != nil {
 		t.Fatal(err)
@@ -179,11 +179,11 @@ func TestAbortedNullingLeavesNoAllNull(t *testing.T) {
 		"all NULL", "ed")
 }
 
-// TestQueryTxHonoursMemBudget: QueryTx runs with the federation's
-// executor options, so its blocking operators spill past MemBudget
-// into SpillDir. Pointing SpillDir at a regular file makes that spill
+// TestTxnQueryHonoursMemBudget: a query inside a global transaction
+// runs with the federation's executor options, so its blocking
+// operators spill past MemBudget into SpillDir. Pointing SpillDir at a regular file makes that spill
 // fail, which only a query that engaged the budget can notice.
-func TestQueryTxHonoursMemBudget(t *testing.T) {
+func TestTxnQueryHonoursMemBudget(t *testing.T) {
 	fed, _, _ := buildUniversity(t)
 	ctx := context.Background()
 	const q = `SELECT s.name, e.course FROM ALL_STUDENTS s JOIN ENROLLMENT e ON s.id = e.sid ORDER BY e.course, s.name`
@@ -193,7 +193,7 @@ func TestQueryTxHonoursMemBudget(t *testing.T) {
 	}
 
 	fed.MemBudget, fed.SpillDir = 1, t.TempDir()
-	_, m, err := fed.QueryMetered(ctx, q, fed.Strategy)
+	_, m, err := collect(ctx, fed, nil, q, fed.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +201,13 @@ func TestQueryTxHonoursMemBudget(t *testing.T) {
 		t.Fatal("the query does not spill under a 1-byte budget; pick one that does")
 	}
 	txn := fed.Begin()
-	got, err := fed.QueryTx(ctx, txn, q)
+	got, _, err := collect(ctx, fed, txn, q, fed.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	txn.Abort(ctx)
 	if rows(t, got) != rows(t, want) {
-		t.Fatalf("budgeted QueryTx = %q, want %q", rows(t, got), rows(t, want))
+		t.Fatalf("budgeted transactional query = %q, want %q", rows(t, got), rows(t, want))
 	}
 
 	notDir := filepath.Join(t.TempDir(), "file")
@@ -217,8 +217,8 @@ func TestQueryTxHonoursMemBudget(t *testing.T) {
 	fed.SpillDir = notDir
 	txn = fed.Begin()
 	defer txn.Abort(ctx)
-	if _, err := fed.QueryTx(ctx, txn, q); err == nil {
-		t.Fatal("QueryTx ignored MemBudget: a spill into a non-directory should fail")
+	if _, _, err := collect(ctx, fed, txn, q, fed.Strategy); err == nil {
+		t.Fatal("transactional query ignored MemBudget: a spill into a non-directory should fail")
 	}
 }
 
@@ -282,7 +282,7 @@ func TestReadOnlyCommitKeepsStatsCache(t *testing.T) {
 	expectCalls(t, statsCalls(t, fed, conns, acctProbe), map[string]int64{"east": 1, "west": 1, "north": 1})
 
 	txn := fed.Begin()
-	if _, err := fed.QueryTx(ctx, txn, acctProbe); err != nil {
+	if _, _, err := collect(ctx, fed, txn, acctProbe, fed.Strategy); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"east", "west"} {

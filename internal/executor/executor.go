@@ -25,8 +25,9 @@
 // Options.SpillDir past it; Metrics reports SpilledBytes/SpillRuns
 // once the result stream closes.
 //
-// The pre-streaming executor survives as ExecuteMaterialized; the
-// equivalence suite holds the two paths row-for-row identical.
+// Run is the package's one execution entry point. The testfed
+// equivalence suites hold its results row-for-row equal to an oracle
+// that evaluates the integrated definitions without the planner.
 package executor
 
 import (
@@ -74,7 +75,8 @@ type FanInPolicy uint8
 const (
 	// FanInAuto picks per plan: an ordered merge when it can satisfy the
 	// residual ORDER BY on the bypass path, deterministic source order
-	// everywhere else (matching the materialized reference row-for-row).
+	// everywhere else (so an unordered result lists the sources' rows in
+	// definition order, as integration.Combine does).
 	FanInAuto FanInPolicy = iota
 	// FanInSourceOrder forces deterministic source order.
 	FanInSourceOrder
@@ -205,51 +207,15 @@ type Metrics struct {
 	Sources []SourceMetrics
 }
 
-// Execute runs the plan and returns the final result.
-func Execute(ctx context.Context, plan *planner.Plan, runner SiteRunner) (*schema.ResultSet, error) {
-	rs, _, err := ExecuteMetered(ctx, plan, runner)
-	return rs, err
-}
-
-// ExecuteMetered runs the plan via the streaming path and materializes
-// the final result, also reporting execution metrics.
-func ExecuteMetered(ctx context.Context, plan *planner.Plan, runner SiteRunner) (*schema.ResultSet, *Metrics, error) {
-	return ExecuteMeteredOpts(ctx, plan, runner, Options{})
-}
-
-// ExecuteMeteredOpts is ExecuteMetered with explicit Options.
-func ExecuteMeteredOpts(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Options) (*schema.ResultSet, *Metrics, error) {
-	stream, m, err := ExecuteStreamOpts(ctx, plan, runner, opts)
-	if err != nil {
-		return nil, m, err
-	}
-	defer stream.Close()
-	rs, err := schema.DrainStream(ctx, stream)
-	if err != nil {
-		return nil, m, err
-	}
-	return rs, m, nil
-}
-
-// ExecuteStream runs the plan and returns the result as a row stream.
-func ExecuteStream(ctx context.Context, plan *planner.Plan, runner SiteRunner) (schema.RowStream, error) {
-	stream, _, err := ExecuteStreamMetered(ctx, plan, runner)
-	return stream, err
-}
-
-// ExecuteStreamMetered runs the plan with default Options.
-func ExecuteStreamMetered(ctx context.Context, plan *planner.Plan, runner SiteRunner) (schema.RowStream, *Metrics, error) {
-	return ExecuteStreamOpts(ctx, plan, runner, Options{})
-}
-
-// ExecuteStreamOpts runs the plan's remote scans as pipelined streams
-// and returns the residual result as a stream the caller must Close.
+// Run runs the plan's remote scans as pipelined streams and returns
+// the residual result as a stream the caller must Close (callers that
+// want a whole result drain it with schema.DrainStream).
 // On the scratch path the metrics are complete when it returns: every
 // fragment has been consumed (or its stream torn down) by then, only
 // the residual evaluation is lazy. On the bypass path the remote scans
 // are themselves lazy, so RowsShipped and Sources settle when the
 // returned stream is closed.
-func ExecuteStreamOpts(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Options) (schema.RowStream, *Metrics, error) {
+func Run(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Options) (schema.RowStream, *Metrics, error) {
 	m := &Metrics{PrunedSources: countPrunedSources(plan)}
 	var mu sync.Mutex
 	budget := queryBudget(opts)
@@ -376,9 +342,9 @@ func ExecuteStreamOpts(ctx context.Context, plan *planner.Plan, runner SiteRunne
 
 // loadModeFor resolves the fan-in mode for a scratch load. Auto (and
 // Merge, which buys nothing when the scratch engine re-sorts anyway)
-// keep deterministic source order so the loaded temp table matches the
-// materialized reference byte for byte; only an explicit Interleave
-// trades that determinism for drain speed.
+// keep deterministic source order so the loaded temp table holds the
+// rows integration.Combine would produce, in the same order; only an
+// explicit Interleave trades that determinism for drain speed.
 func loadModeFor(opts Options) integration.FanInMode {
 	if opts.FanIn == FanInInterleave {
 		return integration.FanInInterleave
@@ -1075,215 +1041,4 @@ func semiValues(ctx context.Context, scratch *localdb.DB, table, col string, max
 		vals[i] = &sqlparser.Literal{Val: v}
 	}
 	return vals, reserved, false, nil
-}
-
-// ---------------------------------------------------------------------
-// Materialized reference path (the pre-streaming executor)
-
-// ExecuteMaterialized runs the plan the way the pre-streaming executor
-// did: every fragment ships as one whole ResultSet, integration runs
-// over materialized fragments, and the scratch engine loads en bloc.
-// It is kept as the reference implementation for the streaming
-// equivalence suite and the transport benchmarks.
-func ExecuteMaterialized(ctx context.Context, plan *planner.Plan, runner SiteRunner) (*schema.ResultSet, error) {
-	rs, _, err := ExecuteMaterializedMetered(ctx, plan, runner)
-	return rs, err
-}
-
-// ExecuteMaterializedMetered is ExecuteMaterialized with metrics.
-func ExecuteMaterializedMetered(ctx context.Context, plan *planner.Plan, runner SiteRunner) (*schema.ResultSet, *Metrics, error) {
-	m := &Metrics{PrunedSources: countPrunedSources(plan)}
-	scratch := localdb.NewScratch(spill.EnvBudget())
-
-	var wave1, wave2 []*planner.ScanSet
-	byAlias := make(map[string]*planner.ScanSet)
-	for _, ss := range plan.ScanSets {
-		byAlias[strings.ToLower(ss.Alias)] = ss
-		if ss.SemiFrom == "" {
-			wave1 = append(wave1, ss)
-		} else {
-			wave2 = append(wave2, ss)
-		}
-	}
-
-	materialized := make(map[string]*schema.ResultSet)
-	var mu sync.Mutex
-	runWave := func(wave []*planner.ScanSet) error {
-		var wg sync.WaitGroup
-		errs := make([]error, len(wave))
-		for i, ss := range wave {
-			wg.Add(1)
-			go func(i int, ss *planner.ScanSet) {
-				defer wg.Done()
-				var inList []sqlparser.Expr
-				if ss.SemiFrom != "" {
-					mu.Lock()
-					build := materialized[strings.ToLower(ss.SemiFrom)]
-					mu.Unlock()
-					if build == nil {
-						errs[i] = fmt.Errorf("executor: semijoin build side %q missing", ss.SemiFrom)
-						return
-					}
-					max := plan.MaxInList
-					if ss.SemiBind {
-						// The reference path ships the whole key set as
-						// one IN-list; IN-reduction never changes the
-						// residual's result, so single-shot vs batched
-						// stay row-identical.
-						if max = plan.BindMaxKeys; max <= 0 {
-							max = defaultBindMaxKeys
-						}
-					}
-					vals, over := distinctValues(build, ss.SemiBuildCol, max)
-					probes := 0
-					for _, sc := range ss.Scans {
-						if sc.Pruned == "" && sc.SemiProbe != nil {
-							probes++
-						}
-					}
-					mu.Lock()
-					if over {
-						m.SemijoinSkip = true
-					} else {
-						m.SemijoinUsed = true
-						inList = vals
-						if len(vals) > 0 {
-							m.BindJoinBatches++
-							m.ShippedKeys += len(vals) * probes
-						}
-					}
-					mu.Unlock()
-				}
-				rs, err := materializeScanSet(ctx, ss, runner, inList, m, &mu)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				mu.Lock()
-				materialized[strings.ToLower(ss.Alias)] = rs
-				mu.Unlock()
-			}(i, ss)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := runWave(wave1); err != nil {
-		return nil, m, err
-	}
-	if err := runWave(wave2); err != nil {
-		return nil, m, err
-	}
-
-	// Load the scratch engine.
-	for _, ss := range plan.ScanSets {
-		if err := scratch.CreateTableDirect(ss.Schema); err != nil {
-			return nil, m, err
-		}
-		rs := materialized[strings.ToLower(ss.Alias)]
-		if rs == nil {
-			continue
-		}
-		if err := scratch.Load(ss.TempTable, rs.Rows); err != nil {
-			return nil, m, fmt.Errorf("executor: loading %s: %w", ss.TempTable, err)
-		}
-	}
-
-	// Residual evaluation.
-	rs, err := scratch.Query(ctx, sqlparser.FormatStatement(plan.Residual, nil))
-	if err != nil {
-		return nil, m, fmt.Errorf("executor: residual: %w", err)
-	}
-	return rs, m, nil
-}
-
-// materializeScanSet runs every source scan (in parallel), aligns the
-// fragments, and applies the integration combinator.
-func materializeScanSet(ctx context.Context, ss *planner.ScanSet, runner SiteRunner, inList []sqlparser.Expr, m *Metrics, mmu *sync.Mutex) (*schema.ResultSet, error) {
-	frags := make([]*schema.ResultSet, len(ss.Scans))
-	errs := make([]error, len(ss.Scans))
-	var wg sync.WaitGroup
-	for i, scan := range ss.Scans {
-		if scan.Pruned != "" {
-			// Source selection: the fragment is provably empty; align
-			// positionally without contacting the site.
-			frags[i] = &schema.ResultSet{Columns: append([]string(nil), ss.Spec.Columns...)}
-			continue
-		}
-		wg.Add(1)
-		go func(i int, scan *planner.RemoteScan) {
-			defer wg.Done()
-			sel := scan.Select
-			if len(inList) > 0 && scan.SemiProbe != nil {
-				probe := &sqlparser.InExpr{E: scan.SemiProbe, List: inList}
-				reduced := *sel
-				if reduced.Where == nil {
-					reduced.Where = probe
-				} else {
-					reduced.Where = &sqlparser.BinaryExpr{Op: "AND", L: reduced.Where, R: probe}
-				}
-				sel = &reduced
-			}
-			rs, err := runner.QuerySite(ctx, scan.Site, sqlparser.FormatStatement(sel, nil))
-			if err != nil {
-				errs[i] = fmt.Errorf("executor: scan at %s: %w", scan.Site, err)
-				return
-			}
-			mmu.Lock()
-			m.RemoteQueries++
-			m.RowsShipped += len(rs.Rows)
-			mmu.Unlock()
-			frags[i] = rs
-		}(i, scan)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return integration.Combine(ss.Spec, frags)
-}
-
-// distinctValues extracts up to max distinct non-NULL literals of the
-// named column; over=true when the bound is exceeded.
-func distinctValues(rs *schema.ResultSet, col string, max int) ([]sqlparser.Expr, bool) {
-	ci := rs.ColIndex(col)
-	if ci < 0 {
-		return nil, true
-	}
-	if max <= 0 {
-		max = 1000
-	}
-	seen := make(map[string]bool)
-	var vals []value.Value
-	for _, r := range rs.Rows {
-		v := r[ci]
-		if v.IsNull() {
-			continue
-		}
-		k := fmt.Sprintf("%d|%s", v.K, v.Text())
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		vals = append(vals, v)
-		if len(vals) > max {
-			return nil, true
-		}
-	}
-	// Deterministic order helps tests and plan caching.
-	sort.Slice(vals, func(a, b int) bool {
-		c, ok := value.Compare(vals[a], vals[b])
-		return ok && c < 0
-	})
-	out := make([]sqlparser.Expr, len(vals))
-	for i, v := range vals {
-		out[i] = &sqlparser.Literal{Val: v}
-	}
-	return out, false
 }

@@ -109,19 +109,20 @@ func (s *Server) Handle(ctx context.Context, req *comm.Request) *comm.Response {
 		return &comm.Response{}
 
 	case comm.OpQuery:
-		sql, strategy := stripStrategy(req.SQL, s.fed.Strategy)
-		if req.TxnID == 0 {
-			rs, err := s.fed.QueryWith(ctx, sql, strategy)
-			if err != nil {
-				return fail(err)
+		var txn *gtm.Txn
+		if req.TxnID != 0 {
+			var ok bool
+			if txn, ok = s.txn(req.TxnID); !ok {
+				return fail(fmt.Errorf("fedserver: unknown global transaction %d", req.TxnID))
 			}
-			return &comm.Response{Rows: rs}
 		}
-		txn, ok := s.txn(req.TxnID)
-		if !ok {
-			return fail(fmt.Errorf("fedserver: unknown global transaction %d", req.TxnID))
+		sql, strategy := stripStrategy(req.SQL, s.fed.Strategy)
+		rows, _, err := s.fed.Run(ctx, txn, sql, strategy)
+		if err != nil {
+			return fail(err)
 		}
-		rs, err := s.fed.QueryTx(ctx, txn, sql)
+		defer rows.Close()
+		rs, err := schema.DrainStream(ctx, rows)
 		if err != nil {
 			return fail(err)
 		}
@@ -222,7 +223,7 @@ func (s *Server) HandleStream(ctx context.Context, req *comm.Request, sink comm.
 		return comm.ErrNotStreamable
 	}
 	sql, strategy := stripStrategy(req.SQL, s.fed.Strategy)
-	rows, m, err := s.fed.QueryStreamMetered(ctx, sql, strategy)
+	rows, m, err := s.fed.Run(ctx, nil, sql, strategy)
 	if err != nil {
 		return streamErr(err)
 	}

@@ -169,3 +169,55 @@ func TestStreamMetricsLogged(t *testing.T) {
 		t.Fatalf("metrics line missing site counters: %q", lines[0])
 	}
 }
+
+// recordingConn records the subquery SQL a site receives.
+type recordingConn struct {
+	gateway.Conn
+	sqls []string
+}
+
+func (c *recordingConn) Query(ctx context.Context, txn uint64, sql string) (*schema.ResultSet, error) {
+	c.sqls = append(c.sqls, sql)
+	return c.Conn.Query(ctx, txn, sql)
+}
+
+// TestTxnQueryStrategyPrefix: a "simple:"/"cost:" prefix picks the
+// strategy inside a global transaction too. The prefix is observed at
+// the site: the cost-based plan pushes the WHERE down, the simple one
+// fetches the export whole.
+func TestTxnQueryStrategyPrefix(t *testing.T) {
+	s := testServer(t)
+	ctx := context.Background()
+	conn, _ := s.fed.Conn("s0")
+	rec := &recordingConn{Conn: conn}
+	s.fed.DetachSite("s0")
+	if err := s.fed.AttachSite(ctx, rec); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prefix     string
+		def        core.Strategy
+		wantPushed bool
+	}{
+		{"simple:", core.StrategyCostBased, false},
+		{"cost:", core.StrategySimple, true},
+	} {
+		s.fed.Strategy = c.def
+		begin := s.Handle(ctx, &comm.Request{Op: comm.OpBegin})
+		rec.sqls = nil
+		resp := s.Handle(ctx, &comm.Request{Op: comm.OpQuery, TxnID: begin.TxnID, SQL: c.prefix + "SELECT v FROM T WHERE k = 1"})
+		if resp.AsError() != nil {
+			t.Fatalf("%s: %v", c.prefix, resp.AsError())
+		}
+		if len(resp.Rows.Rows) != 1 || resp.Rows.Rows[0][0].Text() != "a" {
+			t.Errorf("%s: %v", c.prefix, resp.Rows.Rows)
+		}
+		if len(rec.sqls) != 1 {
+			t.Fatalf("%s: site received %q", c.prefix, rec.sqls)
+		}
+		if pushed := strings.Contains(rec.sqls[0], "WHERE"); pushed != c.wantPushed {
+			t.Errorf("%s with default %v: site received %q", c.prefix, c.def, rec.sqls[0])
+		}
+		s.Handle(ctx, &comm.Request{Op: comm.OpAbort, TxnID: begin.TxnID})
+	}
+}

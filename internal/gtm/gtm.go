@@ -90,8 +90,9 @@ type Stats struct {
 	PrepareNo     atomic.Int64
 	InDoubt       atomic.Int64
 	// Wounded counts aborts where the transaction was chosen as a
-	// deadlock victim (site wound-wait fast path or global detector);
-	// each is also counted in Aborted.
+	// deadlock victim (site wound-wait fast path or global detector),
+	// counted when the victim is claimed; each is also counted in
+	// Aborted once its branches have rolled back.
 	Wounded atomic.Int64
 }
 
@@ -622,7 +623,12 @@ func (t *Txn) abortInternal(timeout, wounded bool) {
 		branches[s] = b
 	}
 	t.mu.Unlock()
-	t.finishAbortClaimed(branches, timeout, wounded)
+	// Count the wound at the claim: the victim sees ErrWounded (and the
+	// deadlock it broke resolves) before the branch aborts below return.
+	if wounded {
+		t.c.Stats.Wounded.Add(1)
+	}
+	t.finishAbortClaimed(branches, timeout)
 }
 
 // finishAbort drives an abort from inside Commit (prepare failure or a
@@ -632,12 +638,12 @@ func (t *Txn) finishAbort(branches map[string]branch, timeout bool) {
 	t.state = stAborting
 	t.timedOut = timeout
 	t.mu.Unlock()
-	t.finishAbortClaimed(branches, timeout, false)
+	t.finishAbortClaimed(branches, timeout)
 }
 
 // finishAbortClaimed rolls back every branch and records the terminal
 // state; the caller has already moved the transaction to stAborting.
-func (t *Txn) finishAbortClaimed(branches map[string]branch, timeout, wounded bool) {
+func (t *Txn) finishAbortClaimed(branches map[string]branch, timeout bool) {
 	var wg sync.WaitGroup
 	var acked atomic.Bool
 	acked.Store(true)
@@ -662,9 +668,6 @@ func (t *Txn) finishAbortClaimed(branches map[string]branch, timeout, wounded bo
 	t.c.Stats.Aborted.Add(1)
 	if timeout {
 		t.c.Stats.TimeoutAborts.Add(1)
-	}
-	if wounded {
-		t.c.Stats.Wounded.Add(1)
 	}
 	// The global transaction is finished only if every participant heard
 	// the abort; otherwise the pending entry stays for Recover to

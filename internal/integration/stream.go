@@ -19,9 +19,9 @@ import (
 //
 //   - FanInSourceOrder (default): rows emit in deterministic source
 //     order while later sources prefetch behind their windows. The
-//     reference mode — byte-identical to combining materialized
-//     fragments — used wherever downstream row order must match the
-//     materialized executor.
+//     reference mode — byte-identical to Combine over materialized
+//     fragments — used wherever downstream row order must be
+//     deterministic.
 //   - FanInInterleave: batches emit in completion order across all
 //     sources, so first-row latency is bound by the fastest site
 //     instead of the first-listed one. Row order is nondeterministic.

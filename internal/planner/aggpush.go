@@ -185,6 +185,16 @@ func (p *Planner) pushAggregates(sel *sqlparser.Select, sets map[string]*ScanSet
 		temp.Columns = append(temp.Columns, schema.Column{
 			Name: ss.Def.Columns[ci].Name, Type: ss.Def.Columns[ci].Type})
 	}
+	// argType is the type of an aggregate's argument when that is a bare
+	// integrated column, FLOAT otherwise.
+	argType := func(fn *sqlparser.FuncExpr) schema.Type {
+		if cr, ok := fn.Args[0].(*sqlparser.ColumnRef); ok {
+			if ci := ss.Def.ColIndex(cr.Column); ci >= 0 {
+				return ss.Def.Columns[ci].Type
+			}
+		}
+		return schema.TFloat
+	}
 	for j, pa := range partials {
 		switch pa.fn.Name {
 		case "COUNT":
@@ -199,18 +209,18 @@ func (p *Planner) pushAggregates(sel *sqlparser.Select, sets map[string]*ScanSet
 		case "SUM":
 			col := fmt.Sprintf("agg_%d", j)
 			pa.cols = []string{col}
-			temp.Columns = append(temp.Columns, schema.Column{Name: col, Type: schema.TFloat})
+			// An INTEGER partial keeps SUM over an INTEGER column INTEGER
+			// after the merge, as it is when evaluated in one place.
+			t := schema.TFloat
+			if argType(pa.fn) == schema.TInt {
+				t = schema.TInt
+			}
+			temp.Columns = append(temp.Columns, schema.Column{Name: col, Type: t})
 			pa.merged = &sqlparser.FuncExpr{Name: "SUM", Args: []sqlparser.Expr{&sqlparser.ColumnRef{Column: col}}}
 		case "MIN", "MAX":
 			col := fmt.Sprintf("agg_%d", j)
 			pa.cols = []string{col}
-			t := schema.TFloat
-			if cr, ok := pa.fn.Args[0].(*sqlparser.ColumnRef); ok {
-				if ci := ss.Def.ColIndex(cr.Column); ci >= 0 {
-					t = ss.Def.Columns[ci].Type
-				}
-			}
-			temp.Columns = append(temp.Columns, schema.Column{Name: col, Type: t})
+			temp.Columns = append(temp.Columns, schema.Column{Name: col, Type: argType(pa.fn)})
 			pa.merged = &sqlparser.FuncExpr{Name: pa.fn.Name, Args: []sqlparser.Expr{&sqlparser.ColumnRef{Column: col}}}
 		case "AVG":
 			sumCol := fmt.Sprintf("agg_%d_sum", j)

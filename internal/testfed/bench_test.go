@@ -13,14 +13,16 @@ import (
 	"myriad/internal/executor"
 	"myriad/internal/gtm"
 	"myriad/internal/integration"
+	"myriad/internal/schema"
 )
 
 // BenchmarkFederatedStreamLimit measures LIMIT 10 over a 100k-row
-// remote site (real TCP), streaming vs. the old materialized executor,
-// under both strategies. cost pushes the LIMIT to the site; simple
-// fetches the export essentially whole, so there the transport decides
-// whether 100k rows materialize at the gateway (materialized) or the
-// federation half-closes the stream after ~10 rows (streaming).
+// remote site (real TCP), under both strategies, through the streaming
+// transport and through the whole-ResultSet one (fx.Runner). cost
+// pushes the LIMIT to the site; simple fetches the export essentially
+// whole, so there the transport decides whether 100k rows materialize
+// at the gateway (materialized) or the federation half-closes the
+// stream after ~10 rows (streaming).
 func BenchmarkFederatedStreamLimit(b *testing.B) {
 	fx := twoSiteUnion(b, integration.UnionAll, 0, 100_000, false, 0)
 	warm(b, fx)
@@ -30,22 +32,18 @@ func BenchmarkFederatedStreamLimit(b *testing.B) {
 	run := func(b *testing.B, streaming bool, strategy core.Strategy) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var n int
+			var rs *schema.ResultSet
+			var err error
 			if streaming {
-				rs, err := fx.Fed.QueryWith(ctx, sql, strategy)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = len(rs.Rows)
+				rs, _, err = collect(ctx, fx.Fed, nil, sql, strategy)
 			} else {
-				rs, err := fx.RefQuery(ctx, sql, strategy)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = len(rs.Rows)
+				rs, err = materialized(ctx, fx, sql, strategy)
 			}
-			if n != 10 {
-				b.Fatalf("got %d rows", n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(rs.Rows) != 10 {
+				b.Fatalf("got %d rows", len(rs.Rows))
 			}
 		}
 	}
@@ -56,8 +54,8 @@ func BenchmarkFederatedStreamLimit(b *testing.B) {
 }
 
 // BenchmarkTwoSiteUnion drains a 40k-row two-site union over real TCP,
-// streaming vs. materialized, plus the time-to-first-row each path
-// offers a client consuming incrementally.
+// streaming vs. whole-ResultSet transport, plus the time-to-first-row
+// the streaming path offers a client consuming incrementally.
 func BenchmarkTwoSiteUnion(b *testing.B) {
 	fx := twoSiteUnion(b, integration.UnionAll, 20_000, 20_000, false, 0)
 	warm(b, fx)
@@ -79,7 +77,7 @@ func BenchmarkTwoSiteUnion(b *testing.B) {
 	b.Run("materialized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, err := fx.RefQuery(ctx, sql, core.StrategyCostBased)
+			rs, err := materialized(ctx, fx, sql, core.StrategyCostBased)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -91,7 +89,7 @@ func BenchmarkTwoSiteUnion(b *testing.B) {
 	b.Run("first-row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rows, err := fx.Fed.QueryStream(ctx, sql, core.StrategyCostBased)
+			rows, _, err := fx.Fed.Run(ctx, nil, sql, core.StrategyCostBased)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -102,6 +100,17 @@ func BenchmarkTwoSiteUnion(b *testing.B) {
 			rows.Close()
 		}
 	})
+}
+
+// materialized plans sql and runs it over fx.Runner(), which ships
+// every fragment as one whole ResultSet.
+func materialized(ctx context.Context, fx *Fixture, sql string, strategy core.Strategy) (*schema.ResultSet, error) {
+	plan, err := fx.Plan(ctx, sql, strategy)
+	if err != nil {
+		return nil, err
+	}
+	rs, _, err := runPlan(ctx, plan, fx.Runner(), executor.Options{})
+	return rs, err
 }
 
 // BenchmarkUnorderedFirstRow is the fan-in acceptance benchmark: a
@@ -122,7 +131,7 @@ func BenchmarkUnorderedFirstRow(b *testing.B) {
 		fx.Fed.FanIn = policy
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rows, err := fx.Fed.QueryStream(ctx, sql, core.StrategyCostBased)
+			rows, _, err := fx.Fed.Run(ctx, nil, sql, core.StrategyCostBased)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -157,7 +166,7 @@ func BenchmarkScratchBypass(b *testing.B) {
 	run := func(b *testing.B, opts executor.Options) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, m, err := executor.ExecuteMeteredOpts(ctx, plan, runner, opts)
+			rs, m, err := runPlan(ctx, plan, runner, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -190,7 +199,7 @@ func BenchmarkExternalSort(b *testing.B) {
 	run := func(b *testing.B, opts executor.Options, wantSpill bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, m, err := executor.ExecuteMeteredOpts(ctx, plan, runner, opts)
+			rs, m, err := runPlan(ctx, plan, runner, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -372,7 +381,7 @@ func BenchmarkOuterMergeSpill(b *testing.B) {
 	run := func(b *testing.B, opts executor.Options, wantSpill bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, m, err := executor.ExecuteMeteredOpts(ctx, plan, runner, opts)
+			rs, m, err := runPlan(ctx, plan, runner, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -405,7 +414,7 @@ func BenchmarkCommitThenQuery(b *testing.B) {
 	ids := map[string]int{"a": 5, "b": 1_000_005}
 
 	query := func(b *testing.B) {
-		rs, err := fx.Fed.QueryWith(ctx, sql, core.StrategyCostBased)
+		rs, _, err := collect(ctx, fx.Fed, nil, sql, core.StrategyCostBased)
 		if err != nil {
 			b.Fatal(err)
 		}

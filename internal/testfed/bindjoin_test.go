@@ -130,11 +130,12 @@ var bindJoinCorpus = []string{
 	`SELECT d.id, p.id AS pid FROM DRV d JOIN P p ON d.kt = p.pv ORDER BY d.id, pid`,
 }
 
-// TestBindJoinMatchesReference holds the streaming bind-join path
-// row-for-row equal to the materialized reference for every corpus
-// query, under both strategies and every fan-in policy.
+// TestBindJoinMatchesReference holds the bind-join path row-for-row
+// equal to the oracle for every corpus query, under both strategies
+// and every fan-in policy.
 func TestBindJoinMatchesReference(t *testing.T) {
 	fx := bindJoinFixture(t, 2000, 40, false)
+	oracle := buildOracle(t, fx)
 	ctx := context.Background()
 	policies := []core.FanInPolicy{core.FanInAuto, core.FanInSourceOrder, core.FanInInterleave, core.FanInMerge}
 	for _, policy := range policies {
@@ -143,11 +144,8 @@ func TestBindJoinMatchesReference(t *testing.T) {
 			for _, sql := range bindJoinCorpus {
 				name := fmt.Sprintf("%v/%v/%s", policy, strategy, sql)
 				t.Run(name, func(t *testing.T) {
-					want, err := fx.RefQuery(ctx, sql, strategy)
-					if err != nil {
-						t.Fatalf("materialized: %v", err)
-					}
-					got, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
+					want := oracleQuery(t, oracle, sql)
+					got, _, err := collect(ctx, fx.Fed, nil, sql, strategy)
 					if err != nil {
 						t.Fatalf("streaming: %v", err)
 					}
@@ -165,7 +163,7 @@ func TestBindJoinMatchesReference(t *testing.T) {
 func TestBindJoinShipsKeysNotTables(t *testing.T) {
 	fx := bindJoinFixture(t, 2000, 40, false)
 	sql := `SELECT d.id, p.id AS pid, p.pv FROM DRV d JOIN P p ON d.k = p.k WHERE d.tag = 'gold' ORDER BY d.id, pid`
-	rs, m, err := fx.Fed.QueryMetered(context.Background(), sql, core.StrategyCostBased)
+	rs, m, err := collect(context.Background(), fx.Fed, nil, sql, core.StrategyCostBased)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +189,7 @@ func TestBindJoinShipsKeysNotTables(t *testing.T) {
 func TestBindJoinEmptyDrivingSideShipsNothing(t *testing.T) {
 	fx := bindJoinFixture(t, 2000, 40, false)
 	sql := `SELECT d.id, p.id AS pid FROM DRV d JOIN P p ON d.k = p.k WHERE d.tag = 'absent' ORDER BY d.id, pid`
-	rs, m, err := fx.Fed.QueryMetered(context.Background(), sql, core.StrategyCostBased)
+	rs, m, err := collect(context.Background(), fx.Fed, nil, sql, core.StrategyCostBased)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,25 +209,23 @@ func TestBindJoinEmptyDrivingSideShipsNothing(t *testing.T) {
 
 // TestBindJoinMultiBatchMatchesReference forces a tiny per-batch IN
 // cap so the key set ships in several batches, and holds the batched
-// result row-for-row equal to the single-shot reference.
+// result row-for-row equal to the oracle.
 func TestBindJoinMultiBatchMatchesReference(t *testing.T) {
 	fx := bindJoinFixture(t, 2000, 40, false)
+	oracle := buildOracle(t, fx)
 	ctx := context.Background()
 	for _, sql := range []string{
 		`SELECT d.id, p.id AS pid, p.pv FROM DRV d JOIN P p ON d.k = p.k ORDER BY d.id, pid`,
 		`SELECT d.tag, COUNT(*) AS n, SUM(p.pv) AS s FROM DRV d JOIN P p ON d.k = p.k GROUP BY d.tag ORDER BY d.tag`,
 		`SELECT d.id, p.id AS pid FROM DRV d JOIN P p ON d.kt = p.kt WHERE d.tag = 'gold' AND p.pv < 10 ORDER BY d.id, pid`,
 	} {
-		want, err := fx.RefQuery(ctx, sql, core.StrategyCostBased)
-		if err != nil {
-			t.Fatalf("%s: materialized: %v", sql, err)
-		}
+		want := oracleQuery(t, oracle, sql)
 		plan, err := fx.Plan(ctx, sql, core.StrategyCostBased)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan.MaxInList = 2 // every corpus query's driving side holds >2 distinct keys
-		stream, m, err := executor.ExecuteStreamMetered(ctx, plan, fx.StreamRunner())
+		stream, m, err := executor.Run(ctx, plan, fx.StreamRunner(), executor.Options{})
 		if err != nil {
 			t.Fatalf("%s: streaming: %v", sql, err)
 		}
@@ -387,7 +383,7 @@ func BenchmarkBindJoin(b *testing.B) {
 	run := func(b *testing.B, plan *planner.Plan, shipped *int, wantSemi bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, m, err := executor.ExecuteMetered(ctx, plan, runner)
+			rs, m, err := runPlan(ctx, plan, runner, executor.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

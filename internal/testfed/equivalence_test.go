@@ -43,8 +43,8 @@ func equivalenceFixture(t testing.TB) *Fixture {
 	return fx
 }
 
-// equivalenceCorpus is the federated query corpus the streaming path
-// must answer row-for-row like the materialized reference.
+// equivalenceCorpus is the federated query corpus the federation must
+// answer row-for-row like the oracle (buildOracle).
 var equivalenceCorpus = []string{
 	`SELECT id, v FROM R ORDER BY id, v`,
 	`SELECT id, v FROM R WHERE v > 50 ORDER BY id`,
@@ -64,7 +64,7 @@ var equivalenceCorpus = []string{
 	`SELECT r.id, d.v FROM R r, D d WHERE r.id = d.id AND r.v < 5 ORDER BY r.id, d.v`,
 	// Bare projections with a WHERE: the bypass filters inline on the
 	// fan-in (under simple the predicate stays residual; under cost it
-	// may push down — both must agree with the scratch path). The LIMIT
+	// may push down — both must agree with the oracle). The LIMIT
 	// exceeds the matching rows so every fan-in mode returns the same
 	// multiset.
 	`SELECT id AS ident, v FROM R WHERE v >= 90`,
@@ -72,26 +72,23 @@ var equivalenceCorpus = []string{
 	`SELECT id, v FROM D WHERE v < 3`,
 	// Cross-site equi-joins with a selective side: under the cost-based
 	// strategy these may plan as bind joins (shipping key batches to
-	// the probe sites), and must still match the materialized path.
+	// the probe sites), and must still match the oracle.
 	`SELECT r.id, d.v FROM R r JOIN D d ON r.id = d.id WHERE d.v = 7 ORDER BY r.id`,
 	`SELECT d.id, r.id AS rid, r.v FROM D d JOIN R r ON d.v = r.v WHERE d.id < 5 ORDER BY d.id, rid, r.v`,
 }
 
-// TestStreamingMatchesMaterialized holds the streaming executor
-// row-for-row equal to the pre-streaming materialized path for the
-// whole corpus, under both optimizer strategies.
-func TestStreamingMatchesMaterialized(t *testing.T) {
+// TestStreamingMatchesOracle holds the federation row-for-row equal to
+// the oracle for the whole corpus, under both optimizer strategies.
+func TestStreamingMatchesOracle(t *testing.T) {
 	fx := equivalenceFixture(t)
+	oracle := buildOracle(t, fx)
 	ctx := context.Background()
 	for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
 		for _, sql := range equivalenceCorpus {
 			name := fmt.Sprintf("%v/%s", strategy, sql)
 			t.Run(name, func(t *testing.T) {
-				want, err := fx.RefQuery(ctx, sql, strategy)
-				if err != nil {
-					t.Fatalf("materialized: %v", err)
-				}
-				got, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
+				want := oracleQuery(t, oracle, sql)
+				got, _, err := collect(ctx, fx.Fed, nil, sql, strategy)
 				if err != nil {
 					t.Fatalf("streaming: %v", err)
 				}
@@ -125,12 +122,13 @@ func assertSameResult(t *testing.T, want, got *schema.ResultSet) {
 	}
 }
 
-// TestFanInModesMatchMaterialized runs the whole corpus under every
-// fan-in policy against the materialized reference with an
-// order-insensitive comparison: interleave legitimately permutes rows,
-// but it must never change the result multiset.
-func TestFanInModesMatchMaterialized(t *testing.T) {
+// TestFanInModesMatchOracle runs the whole corpus under every fan-in
+// policy against the oracle with an order-insensitive comparison:
+// interleave legitimately permutes rows, but it must never change the
+// result multiset.
+func TestFanInModesMatchOracle(t *testing.T) {
 	fx := equivalenceFixture(t)
+	oracle := buildOracle(t, fx)
 	ctx := context.Background()
 	for _, policy := range []core.FanInPolicy{core.FanInSourceOrder, core.FanInInterleave, core.FanInMerge} {
 		fx.Fed.FanIn = policy
@@ -138,11 +136,8 @@ func TestFanInModesMatchMaterialized(t *testing.T) {
 			for _, sql := range equivalenceCorpus {
 				name := fmt.Sprintf("%v/%v/%s", policy, strategy, sql)
 				t.Run(name, func(t *testing.T) {
-					want, err := fx.RefQuery(ctx, sql, strategy)
-					if err != nil {
-						t.Fatalf("materialized: %v", err)
-					}
-					got, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
+					want := oracleQuery(t, oracle, sql)
+					got, _, err := collect(ctx, fx.Fed, nil, sql, strategy)
 					if err != nil {
 						t.Fatalf("streaming: %v", err)
 					}
@@ -169,23 +164,10 @@ func assertSameResultUnordered(t *testing.T, want, got *schema.ResultSet) {
 	if len(want.Rows) != len(got.Rows) {
 		t.Fatalf("row count: want %d, got %d", len(want.Rows), len(got.Rows))
 	}
-	enc := func(r schema.Row) string {
-		var b strings.Builder
-		for _, v := range r {
-			if v.IsNull() {
-				b.WriteByte(0)
-			} else {
-				b.WriteByte(byte(v.K) + 1)
-				b.WriteString(v.Text())
-			}
-			b.WriteByte(0x1f)
-		}
-		return b.String()
-	}
 	keys := func(rows []schema.Row) []string {
 		out := make([]string, len(rows))
 		for i, r := range rows {
-			out[i] = enc(r)
+			out[i] = rowKey(r)
 		}
 		sort.Strings(out)
 		return out
@@ -198,12 +180,60 @@ func assertSameResultUnordered(t *testing.T, want, got *schema.ResultSet) {
 	}
 }
 
+// rowKey encodes a row's values, kinds included, as a comparable key.
+func rowKey(r schema.Row) string {
+	var b strings.Builder
+	for _, v := range r {
+		if v.IsNull() {
+			b.WriteByte(0)
+		} else {
+			b.WriteByte(byte(v.K) + 1)
+			b.WriteString(v.Text())
+		}
+		b.WriteByte(0x1f)
+	}
+	return b.String()
+}
+
+// TestTxnQueriesMatchOracle runs the corpus inside live global
+// transactions, whose sites ship each fragment whole, under every
+// fan-in policy and a 4KB budget with the default strategy, and
+// compares every answer with the oracle: row-for-row, except as a
+// multiset under interleave.
+func TestTxnQueriesMatchOracle(t *testing.T) {
+	fx := equivalenceFixture(t)
+	oracle := buildOracle(t, fx)
+	ctx := context.Background()
+	dir := budgetFed(t, fx, 4096)
+	for _, policy := range []core.FanInPolicy{core.FanInAuto, core.FanInSourceOrder, core.FanInInterleave, core.FanInMerge} {
+		fx.Fed.FanIn = policy
+		for _, sql := range equivalenceCorpus {
+			t.Run(fmt.Sprintf("%v/%s", policy, sql), func(t *testing.T) {
+				want := oracleQuery(t, oracle, sql)
+				txn := fx.Fed.Begin()
+				defer txn.Abort(ctx)
+				got, _, err := collect(ctx, fx.Fed, txn, sql, fx.Fed.Strategy)
+				if err != nil {
+					t.Fatalf("in transaction: %v", err)
+				}
+				if policy == core.FanInInterleave {
+					assertSameResultUnordered(t, want, got)
+				} else {
+					assertSameResult(t, want, got)
+				}
+			})
+		}
+	}
+	fx.Fed.FanIn = core.FanInAuto
+	assertNoSpillFiles(t, dir)
+}
+
 // TestOuterMergeSourceBatches: the blocking OUTERJOIN-MERGE combinator
 // reports its fragment handoffs in per-source metrics too (one block
 // per source), so operators never read "rows=N batches=0".
 func TestOuterMergeSourceBatches(t *testing.T) {
 	fx := equivalenceFixture(t)
-	_, m, err := fx.Fed.QueryMetered(context.Background(), `SELECT id, v FROM M ORDER BY id`, fx.Fed.Strategy)
+	_, m, err := collect(context.Background(), fx.Fed, nil, `SELECT id, v FROM M ORDER BY id`, fx.Fed.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestLimitStreamsEarlyTermination(t *testing.T) {
 	warm(t, fx)
 
 	before := fx.Site("b").DB.ScannedRows()
-	rs, m, err := fx.Fed.QueryMetered(context.Background(), `SELECT id, v FROM R LIMIT 10`, fx.Fed.Strategy)
+	rs, m, err := collect(context.Background(), fx.Fed, nil, `SELECT id, v FROM R LIMIT 10`, fx.Fed.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestUnpushableLimitHalfClosesStreams(t *testing.T) {
 	fx := twoSiteUnion(t, integration.UnionDistinct, 50_000, 50_000, false, 0)
 	warm(t, fx)
 
-	rs, m, err := fx.Fed.QueryMetered(context.Background(), `SELECT id, v FROM R LIMIT 10`, fx.Fed.Strategy)
+	rs, m, err := collect(context.Background(), fx.Fed, nil, `SELECT id, v FROM R LIMIT 10`, fx.Fed.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestStalledSiteDoesNotGateUnorderedFirstRow(t *testing.T) {
 	ch := make(chan firstRow, 1)
 	closed := make(chan error, 1)
 	go func() {
-		rows, err := fx.Fed.QueryStream(context.Background(), `SELECT id, v FROM R`, fx.Fed.Strategy)
+		rows, _, err := fx.Fed.Run(context.Background(), nil, `SELECT id, v FROM R`, fx.Fed.Strategy)
 		if err != nil {
 			ch <- firstRow{err: err}
 			return

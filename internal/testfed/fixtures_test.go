@@ -1,12 +1,17 @@
 package testfed
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"myriad/internal/catalog"
+	"myriad/internal/core"
+	"myriad/internal/executor"
 	"myriad/internal/gateway"
+	"myriad/internal/gtm"
 	"myriad/internal/integration"
+	"myriad/internal/planner"
 	"myriad/internal/schema"
 	"myriad/internal/value"
 )
@@ -64,4 +69,29 @@ func twoSiteUnionFaults(t testing.TB, kind integration.CombineKind, rowsA, rowsB
 	fx.LoadRows(t, "a", "t", genRows(0, rowsA))
 	fx.LoadRows(t, "b", "t", genRows(1_000_000, rowsB))
 	return fx
+}
+
+// collect runs sql through the federation's query path (inside txn
+// when non-nil) and drains the result. The stream is closed before it
+// returns, so the metrics are settled.
+func collect(ctx context.Context, fed *core.Federation, txn *gtm.Txn, sql string, strategy core.Strategy) (*schema.ResultSet, *executor.Metrics, error) {
+	rows, m, err := fed.Run(ctx, txn, sql, strategy)
+	if err != nil {
+		return nil, m, err
+	}
+	defer rows.Close()
+	rs, err := schema.DrainStream(ctx, rows)
+	return rs, m, err
+}
+
+// runPlan executes plan directly and drains the result, settling the
+// metrics like collect.
+func runPlan(ctx context.Context, plan *planner.Plan, runner executor.SiteRunner, opts executor.Options) (*schema.ResultSet, *executor.Metrics, error) {
+	rows, m, err := executor.Run(ctx, plan, runner, opts)
+	if err != nil {
+		return nil, m, err
+	}
+	defer rows.Close()
+	rs, err := schema.DrainStream(ctx, rows)
+	return rs, m, err
 }

@@ -36,10 +36,10 @@ func genGRows(base, n int) []schema.Row {
 }
 
 // groupedFixture integrates both sites' G exports twice — GR as UNION
-// ALL and GD as UNION DISTINCT — over overlapping data (ids 0..499
-// identical at both sites) so fan-in dedup does real work under every
-// policy.
-func groupedFixture(t testing.TB) *Fixture {
+// ALL and GD as UNION DISTINCT — over n rows per site, overlapping (ids
+// 0..n/4-1 identical at both sites) so fan-in dedup does real work
+// under every policy.
+func groupedFixture(t testing.TB, n int) *Fixture {
 	t.Helper()
 	specs := []SiteSpec{
 		{Name: "a", Setup: []string{createG},
@@ -64,8 +64,8 @@ func groupedFixture(t testing.TB) *Fixture {
 	fx := New(t, specs, []*catalog.IntegratedDef{
 		mkDef("GR", integration.UnionAll), mkDef("GD", integration.UnionDistinct),
 	})
-	fx.LoadRows(t, "a", "g", genGRows(0, 2000))
-	fx.LoadRows(t, "b", "g", append(genGRows(0, 500), genGRows(10_000, 1500)...))
+	fx.LoadRows(t, "a", "g", genGRows(0, n))
+	fx.LoadRows(t, "b", "g", append(genGRows(0, n/4), genGRows(10_000, n-n/4)...))
 	return fx
 }
 
@@ -90,22 +90,17 @@ var groupedCorpus = []string{
 // TestGroupedSpillCorpus is the grouped-execution acceptance corpus:
 // every grouped, DISTINCT and UNION query completes under a forced 4KB
 // per-query budget — spilling instead of failing fast — and matches the
-// unlimited in-memory reference as a multiset, under both optimizer
-// strategies and all four fan-in policies.
+// oracle as a multiset, under both optimizer strategies and all four
+// fan-in policies.
 func TestGroupedSpillCorpus(t *testing.T) {
-	fx := groupedFixture(t)
+	fx := groupedFixture(t, 2000)
 	ctx := context.Background()
 
-	// Unlimited references first, shared across policies/strategies.
+	// Oracle answers first, shared across policies and strategies.
+	oracle := buildOracle(t, fx)
 	refs := make(map[string]*schema.ResultSet)
-	for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
-		for _, sql := range groupedCorpus {
-			want, err := fx.RefQuery(ctx, sql, strategy)
-			if err != nil {
-				t.Fatalf("reference %v/%s: %v", strategy, sql, err)
-			}
-			refs[fmt.Sprintf("%v/%s", strategy, sql)] = want
-		}
+	for _, sql := range groupedCorpus {
+		refs[sql] = oracleQuery(t, oracle, sql)
 	}
 
 	dir := budgetFed(t, fx, 4096)
@@ -116,12 +111,12 @@ func TestGroupedSpillCorpus(t *testing.T) {
 		for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
 			for _, sql := range groupedCorpus {
 				t.Run(fmt.Sprintf("%v/%v/%s", policy, strategy, sql), func(t *testing.T) {
-					got, m, err := fx.Fed.QueryMetered(ctx, sql, strategy)
+					got, m, err := collect(ctx, fx.Fed, nil, sql, strategy)
 					if err != nil {
 						t.Fatalf("budgeted: %v", err)
 					}
 					spills += m.SpillRuns
-					assertSameResultUnordered(t, refs[fmt.Sprintf("%v/%s", strategy, sql)], got)
+					assertSameResultUnordered(t, refs[sql], got)
 				})
 			}
 		}

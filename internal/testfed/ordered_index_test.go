@@ -58,7 +58,7 @@ func TestFederatedOrderByIndexSortFree(t *testing.T) {
 
 	beforeA := fx.Site("a").DB.ScannedRows()
 	beforeB := fx.Site("b").DB.ScannedRows()
-	rs, m, err := fx.Fed.QueryMetered(ctx, `SELECT id, v FROM R ORDER BY v LIMIT 100`, core.StrategyCostBased)
+	rs, m, err := collect(ctx, fx.Fed, nil, `SELECT id, v FROM R ORDER BY v LIMIT 100`, core.StrategyCostBased)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFederatedOrderByIndexNoSpillAtTinyBudget(t *testing.T) {
 	fx.Fed.MemBudget = 4096
 	fx.Fed.SpillDir = t.TempDir()
 	ctx := context.Background()
-	rs, m, err := fx.Fed.QueryMetered(ctx, `SELECT id, v FROM R ORDER BY v LIMIT 50`, core.StrategyCostBased)
+	rs, m, err := collect(ctx, fx.Fed, nil, `SELECT id, v FROM R ORDER BY v LIMIT 50`, core.StrategyCostBased)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFederatedRangeScanScansFraction(t *testing.T) {
 	beforeB := fx.Site("b").DB.ScannedRows()
 	// ids/vs: a holds 0..n-1, b holds n..2n-1. A 500-wide slice of each.
 	sql := fmt.Sprintf(`SELECT id, v FROM R WHERE v >= %d AND v < %d`, n-500, n+500)
-	rs, err := fx.Fed.QueryWith(ctx, sql, core.StrategyCostBased)
+	rs, _, err := collect(ctx, fx.Fed, nil, sql, core.StrategyCostBased)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestOrderedIndexEquivalenceFederated(t *testing.T) {
 			for _, sql := range equivalenceCorpus {
 				name := fmt.Sprintf("%v/%v/%s", policy, strategy, sql)
 				t.Run(name, func(t *testing.T) {
-					want, err := plain.Fed.QueryWith(ctx, sql, strategy)
+					want, _, err := collect(ctx, plain.Fed, nil, sql, strategy)
 					if err != nil {
 						t.Fatalf("plain: %v", err)
 					}
-					got, err := indexed.Fed.QueryWith(ctx, sql, strategy)
+					got, _, err := collect(ctx, indexed.Fed, nil, sql, strategy)
 					if err != nil {
 						t.Fatalf("indexed: %v", err)
 					}
@@ -231,7 +231,7 @@ func BenchmarkFederatedOrderedMerge(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rs, err := fx.Fed.QueryWith(ctx, sql, core.StrategyCostBased)
+			rs, _, err := collect(ctx, fx.Fed, nil, sql, core.StrategyCostBased)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -255,7 +255,7 @@ func BenchmarkFederatedRangeScan(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rs, err := fx.Fed.QueryWith(ctx, sql, core.StrategyCostBased)
+			rs, _, err := collect(ctx, fx.Fed, nil, sql, core.StrategyCostBased)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -323,11 +323,11 @@ func TestFederatedCompositeIndexEquivalence(t *testing.T) {
 	for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
 		for _, sql := range corpus {
 			t.Run(fmt.Sprintf("%v/%s", strategy, sql), func(t *testing.T) {
-				want, err := plain.Fed.QueryWith(ctx, sql, strategy)
+				want, _, err := collect(ctx, plain.Fed, nil, sql, strategy)
 				if err != nil {
 					t.Fatalf("plain: %v", err)
 				}
-				got, err := indexed.Fed.QueryWith(ctx, sql, strategy)
+				got, _, err := collect(ctx, indexed.Fed, nil, sql, strategy)
 				if err != nil {
 					t.Fatalf("indexed: %v", err)
 				}

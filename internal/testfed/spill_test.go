@@ -60,7 +60,7 @@ func TestFederatedExternalSortSpills(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := budgetFed(t, fx, 4096)
-	got, m, err := fx.Fed.QueryMetered(ctx, sql, fx.Fed.Strategy)
+	got, m, err := collect(ctx, fx.Fed, nil, sql, fx.Fed.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,11 @@ func TestFederatedExternalSortSpills(t *testing.T) {
 
 // TestTinyBudgetCorpusEquivalence runs the whole equivalence corpus
 // under a forced 4KB budget — every sort, merge and blocking combiner
-// spills — asserting row-for-row agreement with the materialized
-// in-memory reference under both strategies.
+// spills — asserting row-for-row agreement with the oracle under both
+// strategies.
 func TestTinyBudgetCorpusEquivalence(t *testing.T) {
 	fx := equivalenceFixture(t)
+	oracle := buildOracle(t, fx)
 	ctx := context.Background()
 	dir := budgetFed(t, fx, 4096)
 	var spills int64
@@ -87,11 +88,8 @@ func TestTinyBudgetCorpusEquivalence(t *testing.T) {
 		for _, sql := range equivalenceCorpus {
 			name := fmt.Sprintf("%v/%s", strategy, sql)
 			t.Run(name, func(t *testing.T) {
-				want, err := fx.RefQuery(ctx, sql, strategy)
-				if err != nil {
-					t.Fatalf("materialized: %v", err)
-				}
-				got, m, err := fx.Fed.QueryMetered(ctx, sql, strategy)
+				want := oracleQuery(t, oracle, sql)
+				got, m, err := collect(ctx, fx.Fed, nil, sql, strategy)
 				if err != nil {
 					t.Fatalf("spilling: %v", err)
 				}
@@ -184,7 +182,7 @@ func TestOuterMergeSpillFederated(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := budgetFed(t, fx, 4096)
-	got, m, err := fx.Fed.QueryMetered(ctx, sql, fx.Fed.Strategy)
+	got, m, err := collect(ctx, fx.Fed, nil, sql, fx.Fed.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,19 +198,8 @@ func (fx *Fixture) Query(ctx context.Context, sql string) (*schema.ResultSet, er
 	return fx.Fed.Query(ctx, sql)
 }
 
-// RefQuery runs a global SELECT through the pre-streaming materialized
-// executor over the same wire protocol's Response path — the reference
-// the equivalence suite compares the streaming path against.
-func (fx *Fixture) RefQuery(ctx context.Context, sql string, strategy core.Strategy) (*schema.ResultSet, error) {
-	plan, err := fx.Plan(ctx, sql, strategy)
-	if err != nil {
-		return nil, err
-	}
-	return executor.ExecuteMaterialized(ctx, plan, refRunner{fx.Fed})
-}
-
-// Plan builds the global plan for sql (exposed for benchmarks that
-// want to run one plan down both executor paths).
+// Plan builds the global plan for sql (exposed for tests and
+// benchmarks that drive the executor directly).
 func (fx *Fixture) Plan(ctx context.Context, sql string, strategy core.Strategy) (*planner.Plan, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -223,14 +212,15 @@ func (fx *Fixture) Plan(ctx context.Context, sql string, strategy core.Strategy)
 	return planner.New(fx.Fed.Catalog(), fx.Fed).Plan(ctx, sel, strategy)
 }
 
-// Runner returns a materialized SiteRunner over the fixture's gateway
-// connections (no streaming), for driving executor paths directly.
-func (fx *Fixture) Runner() executor.SiteRunner { return refRunner{fx.Fed} }
+// Runner returns a SiteRunner over the fixture's gateway connections
+// that ships every subquery as one whole ResultSet (no streaming), for
+// driving the executor directly.
+func (fx *Fixture) Runner() executor.SiteRunner { return siteRunner{fx.Fed} }
 
-// refRunner ships subqueries as whole ResultSets via Conn.Query.
-type refRunner struct{ f *core.Federation }
+// siteRunner ships subqueries as whole ResultSets via Conn.Query.
+type siteRunner struct{ f *core.Federation }
 
-func (r refRunner) QuerySite(ctx context.Context, site, sql string) (*schema.ResultSet, error) {
+func (r siteRunner) QuerySite(ctx context.Context, site, sql string) (*schema.ResultSet, error) {
 	conn, ok := r.f.Conn(site)
 	if !ok {
 		return nil, fmt.Errorf("testfed: unknown site %q", site)
@@ -240,13 +230,9 @@ func (r refRunner) QuerySite(ctx context.Context, site, sql string) (*schema.Res
 
 // StreamRunner returns the streaming autocommit runner the federation
 // itself uses (exposed for phase-level benchmarks).
-func (fx *Fixture) StreamRunner() executor.SiteRunner { return streamRunner{fx.Fed} }
+func (fx *Fixture) StreamRunner() executor.SiteRunner { return streamRunner{siteRunner{fx.Fed}} }
 
-type streamRunner struct{ f *core.Federation }
-
-func (r streamRunner) QuerySite(ctx context.Context, site, sql string) (*schema.ResultSet, error) {
-	return refRunner{r.f}.QuerySite(ctx, site, sql)
-}
+type streamRunner struct{ siteRunner }
 
 func (r streamRunner) QuerySiteStream(ctx context.Context, site, sql string) (schema.RowStream, error) {
 	conn, ok := r.f.Conn(site)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"myriad/internal/core"
+	"myriad/internal/schema"
 )
 
 func TestBuildParts(t *testing.T) {
@@ -50,7 +51,12 @@ func TestBuildOrders(t *testing.T) {
 	if rs.Rows[0][0].Text() != "500" {
 		t.Errorf("every order should join a customer: %s", rs.Rows[0][0].Text())
 	}
-	rs, err = dep.Fed.QueryWith(ctx, `SELECT COUNT(*) FROM CUSTOMERS WHERE tier = 'gold'`, core.StrategySimple)
+	rows, _, err := dep.Fed.Run(ctx, nil, `SELECT COUNT(*) FROM CUSTOMERS WHERE tier = 'gold'`, core.StrategySimple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	rs, err = schema.DrainStream(ctx, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
